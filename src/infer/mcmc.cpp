@@ -1,13 +1,18 @@
 #include "infer/mcmc.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
+#include <sstream>
 
 #include "infer/diagnostics.h"
 #include "obs/obs.h"
 #include "par/pool.h"
 #include "ppl/messenger.h"
+#include "resil/io.h"
+#include "util/textio.h"
 
 namespace tx::infer {
 
@@ -112,6 +117,23 @@ std::vector<double> instrumented_step(MCMCKernel& kernel,
   return next;
 }
 
+void bump(const char* name) {
+  if (obs::enabled()) obs::registry().counter(name).add(1);
+}
+
+std::string chain_section(std::size_t c, const char* what) {
+  return "chain" + std::to_string(c) + "." + what;
+}
+
+/// A chain's state at a round start, restored on a divergence storm.
+struct RoundStart {
+  std::string kernel_state;
+  Generator gen{0};
+  std::vector<double> q;
+  std::int64_t done = 0;
+  std::int64_t divergences = 0;
+};
+
 }  // namespace
 
 MCMC::MCMC(std::shared_ptr<MCMCKernel> kernel, int num_samples,
@@ -124,114 +146,204 @@ MCMC::MCMC(std::shared_ptr<MCMCKernel> kernel, int num_samples,
 }
 
 MCMC::MCMC(KernelFactory factory, int num_samples, int warmup_steps,
-           int num_chains)
+           int num_chains, MCMCPolicy policy)
     : factory_(std::move(factory)),
       num_samples_(num_samples),
       warmup_(warmup_steps),
-      num_chains_(num_chains) {
+      num_chains_(num_chains),
+      policy_(std::move(policy)) {
   TX_CHECK(factory_ != nullptr, "MCMC: null kernel factory");
   TX_CHECK(num_samples >= 1 && warmup_steps >= 0, "MCMC: bad sample counts");
   TX_CHECK(num_chains >= 1, "MCMC: num_chains must be >= 1");
+  TX_CHECK(policy_.checkpoint_every >= 1,
+           "MCMC: checkpoint_every must be >= 1");
 }
 
 void MCMC::run(Program model, Generator* gen,
                const ProgressCallback& progress) {
   obs::ScopedTimer span("mcmc.run");
-  if (num_chains_ == 1) {
-    if (!kernel_) kernel_ = factory_();
-    kernels_.assign(1, kernel_);
-    const std::int64_t divergences_before = kernel_->divergence_count();
-    kernel_->setup(std::move(model), gen);
-    std::vector<double> q = kernel_->initial_position();
-    for (int i = 0; i < warmup_; ++i) {
-      q = instrumented_step(*kernel_, q, /*warmup=*/true, i, warmup_,
-                            progress);
+  const bool multi = num_chains_ > 1;
+  const bool has_file = !policy_.checkpoint_path.empty();
+  const bool storms = policy_.storm_threshold >= 0;
+
+  // A single chain keeps its kernel across runs and steps on the caller's
+  // generator. Multiple chains get fresh kernels and sequentially derived
+  // generators, so every chain's trajectory is a pure function of the
+  // caller's generator state regardless of how chains are scheduled.
+  if (!multi && !kernel_) kernel_ = factory_();
+  chains_.assign(static_cast<std::size_t>(num_chains_), Chain{});
+  for (auto& chain : chains_) {
+    chain.kernel = multi ? factory_() : kernel_;
+    TX_CHECK(chain.kernel != nullptr, "MCMC: kernel factory returned null");
+  }
+  chain_gens_.clear();
+  if (multi) {
+    Generator& ambient = gen ? *gen : global_generator();
+    chain_gens_.reserve(chains_.size());
+    for (std::size_t c = 0; c < chains_.size(); ++c) {
+      chain_gens_.emplace_back(Generator(ambient.engine()()));
+      chains_[c].gen = &chain_gens_[c];
     }
-    draws_.clear();
-    draws_.reserve(static_cast<std::size_t>(num_samples_));
-    const bool diag_on = obs::diag::enabled();
-    const int refresh = diag_on ? obs::diag::config().refresh_interval : 0;
-    std::vector<obs::diag::SiteSpan> spans;
-    if (diag_on) spans = diag_layout(kernel_->potential());
-    for (int i = 0; i < num_samples_; ++i) {
-      q = instrumented_step(*kernel_, q, /*warmup=*/false, i, num_samples_,
-                            progress);
-      draws_.push_back(q);
-      if (diag_on && refresh > 0 && (i + 1) % refresh == 0) {
-        refresh_site_health(spans, draws_, 0, draws_.size());
-      }
-    }
-    if (diag_on) refresh_site_health(spans, draws_, 0, draws_.size());
     if (obs::enabled()) {
-      obs::registry()
-          .counter("mcmc.divergences")
-          .add(kernel_->divergence_count() - divergences_before);
+      obs::registry().gauge("mcmc.chains").set(
+          static_cast<double>(num_chains_));
     }
-    return;
+  } else {
+    chains_.front().gen = gen;
+  }
+  kernel_ = chains_.front().kernel;  // unflatten / potential accessors
+  std::int64_t divergences_before = 0;
+  for (const auto& chain : chains_) {
+    divergences_before += chain.kernel->divergence_count();
+  }
+  draws_.assign(chains_.size() * static_cast<std::size_t>(num_samples_), {});
+
+  // Model code runs during setup (the Potential layout trace); a derived
+  // chain generator must be installed so it never draws from the shared
+  // global one.
+  const auto setup = [&model](Chain& chain) {
+    chain.kernel->setup(model, chain.gen);
+    chain.q = chain.kernel->initial_position();
+  };
+  // Resuming and storm snapshots need every kernel set up before the first
+  // round; otherwise each chain sets itself up inside its first task.
+  const bool resume = has_file && policy_.resume &&
+                      resil::file_exists(policy_.checkpoint_path);
+  bool set_up = false;
+  if (resume || storms) {
+    for (auto& chain : chains_) {
+      std::optional<ppl::GeneratorScope> scope;
+      if (multi) scope.emplace(chain.gen);
+      setup(chain);
+    }
+    set_up = true;
+  }
+  resumed_ = false;
+  if (resume) {
+    apply_bundle(resil::Bundle::read_file(policy_.checkpoint_path));
+    resumed_ = true;
+    bump("resil.mcmc.resumes");
   }
 
-  // Multi-chain: fresh kernels and sequentially derived per-chain seeds, so
-  // every chain's trajectory is a pure function of the caller's generator
-  // state regardless of how the chains are scheduled across threads.
-  kernels_.clear();
-  for (int c = 0; c < num_chains_; ++c) kernels_.push_back(factory_());
-  Generator& ambient = gen ? *gen : global_generator();
-  chain_gens_.clear();
-  chain_gens_.reserve(static_cast<std::size_t>(num_chains_));
-  for (int c = 0; c < num_chains_; ++c) {
-    chain_gens_.emplace_back(Generator(ambient.engine()()));
-  }
-  draws_.assign(static_cast<std::size_t>(num_chains_) *
-                    static_cast<std::size_t>(num_samples_),
-                {});
-  if (obs::enabled()) {
-    obs::registry().gauge("mcmc.chains").set(
-        static_cast<double>(num_chains_));
-  }
+  const std::int64_t total = static_cast<std::int64_t>(warmup_) +
+                             static_cast<std::int64_t>(num_samples_);
+  const std::int64_t round_len =
+      has_file || storms ? policy_.checkpoint_every : total;
+  const bool diag_on = obs::diag::enabled();
+  const int refresh = diag_on ? obs::diag::config().refresh_interval : 0;
   std::mutex progress_mu;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<std::size_t>(num_chains_));
-  for (int c = 0; c < num_chains_; ++c) {
-    tasks.push_back([&, c, model] {
-      obs::ScopedTimer chain_span(
-          "mcmc.chain",
-          obs::tracing()
-              ? obs::Event().set("chain", static_cast<std::int64_t>(c)).to_json()
-              : std::string());
-      Generator* cg = &chain_gens_[static_cast<std::size_t>(c)];
-      // Model code runs during setup (the Potential layout trace); it must
-      // draw from the chain generator, never the shared global one.
-      ppl::GeneratorScope gen_scope(cg);
-      MCMCKernel& kernel = *kernels_[static_cast<std::size_t>(c)];
-      kernel.setup(model, cg);
-      std::vector<double> q = kernel.initial_position();
-      for (int i = 0; i < warmup_; ++i) {
-        q = instrumented_step(kernel, q, /*warmup=*/true, i, warmup_,
-                              progress, c, &progress_mu);
+  std::mutex* sync = multi ? &progress_mu : nullptr;
+
+  // Advance one chain to the end of the current round. Incremental
+  // per-chain health: conservative, single-chain estimates over this
+  // chain's draws so far (short slices → NaN → ignored); the final refresh
+  // after the last round supersedes it.
+  const auto advance = [&](std::size_t c, std::int64_t until) {
+    Chain& chain = chains_[c];
+    if (!set_up) setup(chain);
+    std::vector<obs::diag::SiteSpan> spans;
+    if (diag_on) spans = diag_layout(chain.kernel->potential());
+    const std::size_t base = c * static_cast<std::size_t>(num_samples_);
+    for (; chain.done < until; ++chain.done) {
+      const bool warmup = chain.done < warmup_;
+      const std::int64_t step = warmup ? chain.done : chain.done - warmup_;
+      chain.q = instrumented_step(*chain.kernel, chain.q, warmup, step,
+                                  warmup ? warmup_ : num_samples_, progress,
+                                  static_cast<std::int64_t>(c), sync);
+      if (warmup) continue;
+      const std::size_t kept = static_cast<std::size_t>(step) + 1;
+      draws_[base + kept - 1] = chain.q;
+      if (diag_on && refresh > 0 &&
+          kept % static_cast<std::size_t>(refresh) == 0) {
+        refresh_site_health(spans, draws_, base, base + kept);
       }
-      const bool diag_on = obs::diag::enabled();
-      const int refresh = diag_on ? obs::diag::config().refresh_interval : 0;
-      std::vector<obs::diag::SiteSpan> spans;
-      if (diag_on) spans = diag_layout(kernel.potential());
-      const std::size_t base = static_cast<std::size_t>(c) *
-                               static_cast<std::size_t>(num_samples_);
-      for (int i = 0; i < num_samples_; ++i) {
-        q = instrumented_step(kernel, q, /*warmup=*/false, i, num_samples_,
-                              progress, c, &progress_mu);
-        draws_[base + static_cast<std::size_t>(i)] = q;
-        // Incremental per-chain health: conservative, single-chain
-        // estimates over this chain's draws so far (short slices → NaN →
-        // ignored). The cross-chain refresh after the join supersedes it.
-        if (diag_on && refresh > 0 && (i + 1) % refresh == 0) {
-          refresh_site_health(spans, draws_, base,
-                              base + static_cast<std::size_t>(i) + 1);
-        }
+    }
+  };
+
+  while (true) {
+    bool pending = false;
+    for (const auto& chain : chains_) pending |= chain.done < total;
+    if (!pending) break;
+
+    // Round-start snapshots: a storm rollback loses at most this round, and
+    // because rounds are barriers the snapshot is taken at a deterministic
+    // point of every chain's trajectory.
+    std::vector<RoundStart> starts;
+    if (storms) {
+      for (const auto& chain : chains_) {
+        std::ostringstream ks;
+        chain.kernel->save_state(ks);
+        starts.push_back({ks.str(),
+                          chain.gen ? *chain.gen : global_generator(),
+                          chain.q, chain.done,
+                          chain.kernel->divergence_count()});
       }
-    });
+    }
+
+    if (multi) {
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(chains_.size());
+      for (std::size_t c = 0; c < chains_.size(); ++c) {
+        if (chains_[c].done >= total) continue;
+        tasks.push_back([&, c] {
+          obs::ScopedTimer chain_span(
+              "mcmc.chain",
+              obs::tracing() ? obs::Event()
+                                   .set("chain", static_cast<std::int64_t>(c))
+                                   .to_json()
+                             : std::string());
+          ppl::GeneratorScope gen_scope(chains_[c].gen);
+          advance(c, std::min(total, chains_[c].done + round_len));
+        });
+      }
+      par::run_tasks(tasks);
+    } else {
+      advance(0, std::min(total, chains_.front().done + round_len));
+    }
+    set_up = true;
+
+    // Storm check per chain, sequential and deterministic.
+    for (std::size_t c = 0; storms && c < chains_.size(); ++c) {
+      Chain& chain = chains_[c];
+      const RoundStart& start = starts[c];
+      const std::int64_t round_div =
+          chain.kernel->divergence_count() - start.divergences;
+      if (round_div <= policy_.storm_threshold) continue;
+      ++chain.restarts;
+      bump("resil.mcmc.restarts");
+      TX_CHECK(chain.restarts <= policy_.max_restarts, "MCMC: chain ", c,
+               " exceeded ", policy_.max_restarts,
+               " divergence-storm restarts (", round_div,
+               " divergences in the last round); forensics: ",
+               obs::diag::last_forensic_reason());
+      // Restore the chain to the round start and back off the step size.
+      std::istringstream ks(start.kernel_state);
+      chain.kernel->load_state(ks);
+      (chain.gen ? *chain.gen : global_generator()) = start.gen;
+      chain.q = start.q;
+      chain.done = start.done;
+      auto* hmc = dynamic_cast<HMC*>(chain.kernel.get());
+      TX_CHECK(hmc != nullptr,
+               "MCMC: storm handling needs an HMC-family kernel");
+      hmc->set_step_size(hmc->step_size() * policy_.step_size_factor);
+      if (obs::enabled()) {
+        obs::registry()
+            .gauge("resil.mcmc.step_size.chain" + std::to_string(c))
+            .set(hmc->step_size());
+      }
+    }
+
+    if (has_file) {
+      bump(make_bundle().write_file(policy_.checkpoint_path)
+               ? "resil.ckpt.writes"
+               : "resil.ckpt.write_failures");
+    }
   }
-  par::run_tasks(tasks);
-  kernel_ = kernels_.front();  // unflatten / potential accessors
-  if (obs::diag::enabled()) {
+
+  if (diag_on && !multi) {
+    refresh_site_health(diag_layout(kernel_->potential()), draws_, 0,
+                        draws_.size());
+  } else if (diag_on) {
     // Final cross-chain refresh: the real multi-chain split-R̂ / ESS over
     // all chains, aggregated per site (min ESS, max R̂ over coordinates).
     const auto spans = diag_layout(kernel_->potential());
@@ -259,27 +371,123 @@ void MCMC::run(Program model, Generator* gen,
     }
   }
   if (obs::enabled()) {
-    obs::registry().counter("mcmc.divergences").add(divergence_count());
+    obs::registry()
+        .counter("mcmc.divergences")
+        .add(divergence_count() - divergences_before);
+    if (storms) {
+      obs::registry().gauge("resil.mcmc.restarts_total")
+          .set(static_cast<double>(restarts()));
+    }
   }
 }
 
+resil::Bundle MCMC::make_bundle() const {
+  resil::Bundle b;
+  std::ostringstream meta;
+  meta << "mcmc chains " << num_chains_ << " warmup " << warmup_
+       << " samples " << num_samples_ << '\n';
+  b.set("mcmc.meta", meta.str());
+  for (std::size_t c = 0; c < chains_.size(); ++c) {
+    const Chain& chain = chains_[c];
+    const std::int64_t kept = std::max<std::int64_t>(0, chain.done - warmup_);
+    std::ostringstream cm;
+    cm << "done " << chain.done << " restarts " << chain.restarts << '\n';
+    cm << "q ";
+    textio::write_vec_d(cm, chain.q);
+    cm << "draws " << kept << '\n';
+    const std::size_t base = c * static_cast<std::size_t>(num_samples_);
+    for (std::int64_t i = 0; i < kept; ++i) {
+      textio::write_vec_d(cm, draws_[base + static_cast<std::size_t>(i)]);
+    }
+    b.set(chain_section(c, "state"), cm.str());
+    std::ostringstream ks;
+    chain.kernel->save_state(ks);
+    b.set(chain_section(c, "kernel"), ks.str());
+    b.set(chain_section(c, "gen"),
+          resil::generator_bytes(chain.gen ? *chain.gen : global_generator()));
+  }
+  return b;
+}
+
+void MCMC::apply_bundle(const resil::Bundle& b) {
+  std::istringstream meta(b.get("mcmc.meta"));
+  textio::expect_tag(meta, "mcmc");
+  textio::expect_tag(meta, "chains");
+  TX_CHECK(textio::read_int(meta, "chains") == num_chains_,
+           "tx.ckpt.v1: checkpoint chain count does not match this run");
+  textio::expect_tag(meta, "warmup");
+  TX_CHECK(textio::read_int(meta, "warmup") == warmup_,
+           "tx.ckpt.v1: checkpoint warmup does not match this run");
+  textio::expect_tag(meta, "samples");
+  TX_CHECK(textio::read_int(meta, "samples") == num_samples_,
+           "tx.ckpt.v1: checkpoint sample count does not match this run");
+
+  // Stage every chain completely before touching live state.
+  struct Staged {
+    std::int64_t done = 0, restarts = 0;
+    std::vector<double> q;
+    std::vector<std::vector<double>> draws;
+  };
+  std::vector<Staged> staged(chains_.size());
+  for (std::size_t c = 0; c < chains_.size(); ++c) {
+    Staged& s = staged[c];
+    std::istringstream cm(b.get(chain_section(c, "state")));
+    textio::expect_tag(cm, "done");
+    s.done = textio::read_int(cm, "done");
+    textio::expect_tag(cm, "restarts");
+    s.restarts = textio::read_int(cm, "restarts");
+    textio::expect_tag(cm, "q");
+    s.q = textio::read_vec_d(cm, "chain position");
+    textio::expect_tag(cm, "draws");
+    const std::int64_t ndraws = textio::read_int(cm, "draw count");
+    TX_CHECK(s.done >= 0 && s.done <= warmup_ + num_samples_ &&
+                 ndraws == std::max<std::int64_t>(0, s.done - warmup_),
+             "tx.ckpt.v1: chain progress does not match its draw count");
+    for (std::int64_t i = 0; i < ndraws; ++i) {
+      s.draws.push_back(textio::read_vec_d(cm, "draw"));
+    }
+  }
+  for (std::size_t c = 0; c < chains_.size(); ++c) {
+    Chain& chain = chains_[c];
+    Staged& s = staged[c];
+    std::istringstream ks(b.get(chain_section(c, "kernel")));
+    chain.kernel->load_state(ks);
+    resil::apply_generator_bytes(
+        b.get(chain_section(c, "gen")),
+        chain.gen ? *chain.gen : global_generator());
+    chain.done = s.done;
+    chain.restarts = s.restarts;
+    chain.q = std::move(s.q);
+    const std::size_t base = c * static_cast<std::size_t>(num_samples_);
+    for (std::size_t i = 0; i < s.draws.size(); ++i) {
+      draws_[base + i] = std::move(s.draws[i]);
+    }
+  }
+}
+
+std::int64_t MCMC::restarts() const {
+  std::int64_t total = 0;
+  for (const auto& chain : chains_) total += chain.restarts;
+  return total;
+}
+
 double MCMC::mean_accept_prob() const {
-  if (kernels_.size() <= 1) {
+  if (chains_.size() <= 1) {
     TX_CHECK(kernel_ != nullptr, "MCMC: run() first");
     return kernel_->mean_accept_prob();
   }
   double s = 0.0;
-  for (const auto& k : kernels_) s += k->mean_accept_prob();
-  return s / static_cast<double>(kernels_.size());
+  for (const auto& chain : chains_) s += chain.kernel->mean_accept_prob();
+  return s / static_cast<double>(chains_.size());
 }
 
 std::int64_t MCMC::divergence_count() const {
-  if (kernels_.size() <= 1) {
+  if (chains_.size() <= 1) {
     TX_CHECK(kernel_ != nullptr, "MCMC: run() first");
     return kernel_->divergence_count();
   }
   std::int64_t total = 0;
-  for (const auto& k : kernels_) total += k->divergence_count();
+  for (const auto& chain : chains_) total += chain.kernel->divergence_count();
   return total;
 }
 

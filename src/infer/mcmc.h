@@ -1,8 +1,13 @@
 // MCMC driver (pyro.infer.mcmc.MCMC): warmup with adaptation, then sampling;
-// stores flattened draws and exposes them per site.
+// stores flattened draws and exposes them per site. An optional MCMCPolicy
+// adds checkpoint/resume and divergence-storm backoff to the same run loop.
 #pragma once
 
 #include "infer/hmc.h"
+
+namespace tx::resil {
+class Bundle;
+}
 
 namespace tx::infer {
 
@@ -25,18 +30,48 @@ using ProgressCallback = std::function<void(const MCMCProgress&)>;
 /// Builds one independent kernel per chain for multi-chain runs.
 using KernelFactory = std::function<std::shared_ptr<MCMCKernel>()>;
 
+/// Checkpointing and divergence-storm handling for MCMC::run. The default
+/// (no checkpoint_path, storm handling off) runs the chains in one round with
+/// no snapshots and no file I/O.
+struct MCMCPolicy {
+  std::string checkpoint_path;  // "" = no persistence
+  /// Transitions per round when checkpointing or storm handling is on;
+  /// rounds are barriers, checkpoints happen at round ends, and a storm
+  /// rollback loses at most one round.
+  std::int64_t checkpoint_every = 50;
+  /// Divergences within one round that count as a storm for a chain
+  /// (-1 disables storm handling).
+  std::int64_t storm_threshold = -1;
+  /// Storm restarts tolerated per chain before run() throws.
+  int max_restarts = 3;
+  /// Step-size multiplier applied on each storm restart (HMC-family kernels).
+  double step_size_factor = 0.5;
+  /// Resume from checkpoint_path when it already exists.
+  bool resume = true;
+};
+
 class MCMC {
  public:
+  /// Single chain on the given kernel, stepping on the caller's generator.
   MCMC(std::shared_ptr<MCMCKernel> kernel, int num_samples, int warmup_steps);
 
-  /// Multi-chain constructor. Each chain gets a fresh kernel from `factory`
-  /// and its own Generator seeded sequentially from the caller's generator,
-  /// so per-chain draws depend only on the seed — chains run concurrently
-  /// via tx::par but results are identical at every TYXE_NUM_THREADS. Kept
-  /// draws are concatenated in chain order. The model must be safe to
-  /// evaluate concurrently (pure closures; no shared mutable module state).
+  /// Factory constructor. A single chain builds its kernel once and steps on
+  /// the caller's generator, exactly like the kernel constructor. With
+  /// several chains each gets a fresh kernel from `factory` and its own
+  /// Generator seeded sequentially from the caller's generator, so per-chain
+  /// draws depend only on the seed — chains run concurrently via tx::par but
+  /// results are identical at every TYXE_NUM_THREADS. Kept draws are
+  /// concatenated in chain order. The model must be safe to evaluate
+  /// concurrently (pure closures; no shared mutable module state).
+  ///
+  /// With a `policy` that checkpoints, chains advance in lockstep rounds and
+  /// every round end writes a tx.ckpt.v1 bundle holding each chain's
+  /// position, kernel adaptation and generator, so a resumed run is
+  /// bitwise-identical to an uninterrupted one at any TYXE_NUM_THREADS. With
+  /// storm handling on, a chain whose round saw more than storm_threshold
+  /// divergences is restored to its round start with a smaller step size.
   MCMC(KernelFactory factory, int num_samples, int warmup_steps,
-       int num_chains = 1);
+       int num_chains = 1, MCMCPolicy policy = {});
 
   /// Run the chain(s) on the given model. `progress` (if set) fires after
   /// every warmup and sampling transition, serialized across chains.
@@ -44,6 +79,10 @@ class MCMC {
            const ProgressCallback& progress = nullptr);
 
   int num_chains() const { return num_chains_; }
+  /// The last run() started from an on-disk checkpoint.
+  bool resumed() const { return resumed_; }
+  /// Divergence-storm restarts across chains in the last run().
+  std::int64_t restarts() const;
   /// Total kept draws across all chains.
   std::size_t num_samples() const { return draws_.size(); }
   /// Values of one site across all kept draws (chains concatenated).
@@ -60,13 +99,26 @@ class MCMC {
   std::vector<double> coordinate_chain(std::size_t coord, int chain) const;
 
  private:
+  struct Chain {
+    std::shared_ptr<MCMCKernel> kernel;
+    Generator* gen = nullptr;  // what the kernel steps on (null = global)
+    std::vector<double> q;
+    std::int64_t done = 0;  // transitions completed (warmup + sampling)
+    std::int64_t restarts = 0;
+  };
+
+  resil::Bundle make_bundle() const;
+  void apply_bundle(const resil::Bundle& b);
+
   std::shared_ptr<MCMCKernel> kernel_;  // single-chain kernel / first chain
   KernelFactory factory_;
   int num_samples_, warmup_;
   int num_chains_ = 1;
-  std::vector<std::shared_ptr<MCMCKernel>> kernels_;  // per chain, after run
-  std::vector<Generator> chain_gens_;  // outlive kernels_ (kernels keep ptrs)
-  std::vector<std::vector<double>> draws_;
+  MCMCPolicy policy_;
+  std::vector<Chain> chains_;          // after run
+  std::vector<Generator> chain_gens_;  // outlive chains_ (kernels keep ptrs)
+  std::vector<std::vector<double>> draws_;  // chain-major
+  bool resumed_ = false;
 };
 
 }  // namespace tx::infer

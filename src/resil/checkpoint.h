@@ -1,49 +1,15 @@
-// tx.ckpt.v1 checkpoint bundles: versioned, checksummed containers of named
-// byte sections, written crash-safely (atomic_write_file) and parsed fully
-// before anything is applied. The SVI/MCMC drivers in tx::resil compose
-// bundles out of the section serializers below; every section is stable text
-// (hexfloats), so a bundle round-trips training state bitwise.
-//
-// Wire format:
-//   tx.ckpt.v1 <nsections>\n
-//   @ <name> <nbytes>\n<bytes>\n          (x nsections, sorted by name)
-//   @checksum <16 hex digits>\n           (FNV-1a 64 of everything above)
+// tx.ckpt.v1 section serializers for SVI state: the ParamStore and the
+// optimizer. The bundle container itself (and the generator section) lives in
+// resil/io.h, below tx_infer, so infer::MCMC can checkpoint too.
 #pragma once
 
-#include <map>
 #include <string>
-#include <vector>
 
 #include "infer/optim.h"
 #include "ppl/param_store.h"
-#include "util/random.h"
+#include "resil/io.h"
 
 namespace tx::resil {
-
-class Bundle {
- public:
-  void set(const std::string& name, std::string bytes);
-  bool has(const std::string& name) const;
-  /// Throws tx::Error if the section is missing.
-  const std::string& get(const std::string& name) const;
-  std::size_t size() const { return sections_.size(); }
-  std::vector<std::string> names() const;
-
-  std::string serialize() const;
-  /// Throws tx::Error on a bad header, truncated section, or checksum
-  /// mismatch — a corrupt file can never yield a partially-filled Bundle.
-  static Bundle deserialize(const std::string& data);
-
-  /// Atomic write via tx::resil::atomic_write_file; false when the write (or
-  /// an injected fault) failed, in which case the destination still holds
-  /// its previous complete content.
-  bool write_file(const std::string& path) const;
-  /// Throws tx::Error when the file is missing, truncated, or corrupt.
-  static Bundle read_file(const std::string& path);
-
- private:
-  std::map<std::string, std::string> sections_;
-};
 
 // ---- section serializers ---------------------------------------------------
 // Every apply_* stages the parsed state completely (throwing tx::Error on
@@ -59,9 +25,6 @@ std::string param_store_bytes(const ppl::ParamStore& store);
 /// stream, so the replay is still bitwise-exact).
 void apply_param_store_bytes(const std::string& bytes, ppl::ParamStore& store,
                              bool prune_extra = false);
-
-std::string generator_bytes(const Generator& gen);
-void apply_generator_bytes(const std::string& bytes, Generator& gen);
 
 std::string optimizer_bytes(const infer::Optimizer& opt);
 void apply_optimizer_bytes(const std::string& bytes, infer::Optimizer& opt);

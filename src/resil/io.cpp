@@ -1,6 +1,7 @@
 #include "resil/io.h"
 
 #include <cstdio>
+#include <sstream>
 #include <sys/stat.h>
 
 #ifndef _WIN32
@@ -9,6 +10,7 @@
 #endif
 
 #include "resil/fault.h"
+#include "util/common.h"
 
 namespace tx::resil {
 
@@ -95,6 +97,120 @@ bool read_file(const std::string& path, std::string* out) {
 bool file_exists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
+}
+
+void Bundle::set(const std::string& name, std::string bytes) {
+  TX_CHECK(!name.empty() && name.find_first_of(" \n") == std::string::npos,
+           "Bundle: section name '", name, "' is empty or has whitespace");
+  sections_[name] = std::move(bytes);
+}
+
+bool Bundle::has(const std::string& name) const {
+  return sections_.count(name) > 0;
+}
+
+const std::string& Bundle::get(const std::string& name) const {
+  auto it = sections_.find(name);
+  TX_CHECK(it != sections_.end(), "Bundle: no section named '", name, "'");
+  return it->second;
+}
+
+std::vector<std::string> Bundle::names() const {
+  std::vector<std::string> out;
+  out.reserve(sections_.size());
+  for (const auto& [name, _] : sections_) out.push_back(name);
+  return out;
+}
+
+std::string Bundle::serialize() const {
+  std::string body = "tx.ckpt.v1 " + std::to_string(sections_.size()) + "\n";
+  for (const auto& [name, bytes] : sections_) {
+    body += "@ " + name + " " + std::to_string(bytes.size()) + "\n";
+    body += bytes;
+    body += '\n';
+  }
+  char footer[32];
+  std::snprintf(footer, sizeof(footer), "@checksum %016llx\n",
+                static_cast<unsigned long long>(fnv1a64(body)));
+  return body + footer;
+}
+
+Bundle Bundle::deserialize(const std::string& data) {
+  // Split off and verify the footer first: everything before it is covered
+  // by the checksum, so truncation or bit rot anywhere fails here.
+  const std::string footer_tag = "@checksum ";
+  // The footer is fixed-width: tag + 16 hex digits + newline, flush at the
+  // end of the file. Anything else — including a missing final newline — is
+  // treated as truncation.
+  const std::size_t footer_size = footer_tag.size() + 17;
+  TX_CHECK(data.size() > footer_size && data.back() == '\n' &&
+               data.compare(data.size() - footer_size, footer_tag.size(),
+                            footer_tag) == 0,
+           "tx.ckpt.v1: missing or truncated checksum footer");
+  const std::size_t footer = data.size() - footer_size;
+  const std::string hex = data.substr(footer + footer_tag.size(), 16);
+  char* end = nullptr;
+  const std::uint64_t want = std::strtoull(hex.c_str(), &end, 16);
+  TX_CHECK(end == hex.c_str() + 16, "tx.ckpt.v1: malformed checksum footer");
+  const std::string body = data.substr(0, footer);
+  TX_CHECK(fnv1a64(body) == want, "tx.ckpt.v1: checksum mismatch — file is ",
+           "truncated or corrupt");
+
+  std::size_t pos = 0;
+  const auto read_line = [&](const char* what) {
+    const std::size_t nl = body.find('\n', pos);
+    TX_CHECK(nl != std::string::npos, "tx.ckpt.v1: truncated ", what);
+    std::string line = body.substr(pos, nl - pos);
+    pos = nl + 1;
+    return line;
+  };
+
+  std::istringstream header(read_line("header"));
+  std::string magic;
+  std::int64_t count = -1;
+  header >> magic >> count;
+  TX_CHECK(magic == "tx.ckpt.v1" && count >= 0, "tx.ckpt.v1: bad header");
+
+  Bundle b;
+  for (std::int64_t i = 0; i < count; ++i) {
+    std::istringstream section(read_line("section header"));
+    std::string at, name;
+    std::int64_t nbytes = -1;
+    section >> at >> name >> nbytes;
+    TX_CHECK(at == "@" && !name.empty() && nbytes >= 0,
+             "tx.ckpt.v1: bad section header");
+    TX_CHECK(pos + static_cast<std::size_t>(nbytes) < body.size() &&
+                 body[pos + static_cast<std::size_t>(nbytes)] == '\n',
+             "tx.ckpt.v1: truncated section '", name, "'");
+    b.sections_[name] = body.substr(pos, static_cast<std::size_t>(nbytes));
+    pos += static_cast<std::size_t>(nbytes) + 1;
+  }
+  TX_CHECK(pos == body.size(), "tx.ckpt.v1: trailing bytes after sections");
+  return b;
+}
+
+bool Bundle::write_file(const std::string& path) const {
+  return atomic_write_file(path, serialize());
+}
+
+Bundle Bundle::read_file(const std::string& path) {
+  std::string data;
+  TX_CHECK(resil::read_file(path, &data), "tx.ckpt.v1: cannot read ", path);
+  return deserialize(data);
+}
+
+std::string generator_bytes(const Generator& gen) {
+  std::ostringstream os;
+  gen.save(os);
+  return os.str();
+}
+
+void apply_generator_bytes(const std::string& bytes, Generator& gen) {
+  std::istringstream is(bytes);
+  Generator staged = gen;
+  staged.load(is);
+  TX_CHECK(!is.fail(), "tx.ckpt.v1: corrupt generator state");
+  gen = staged;
 }
 
 }  // namespace tx::resil

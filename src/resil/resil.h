@@ -1,18 +1,15 @@
-// tx::resil — fault-tolerant inference drivers. Builds on the tx.ckpt.v1
-// bundles in resil/checkpoint.h: SVI runs auto-checkpoint, roll back and
-// retry with a decayed learning rate when a step goes non-finite, and resume
-// bitwise-exactly from disk; MCMC runs advance in checkpointed rounds with
-// divergence-storm backoff (halve the step size, restart the chain from the
-// round start). Recovery activity is surfaced as resil.* metrics and, on
-// failure, cross-linked to the tx::obs::diag forensic bundle.
+// tx::resil — fault-tolerant SVI. Builds on the tx.ckpt.v1 bundles in
+// resil/io.h and the section serializers in resil/checkpoint.h: SVI runs
+// auto-checkpoint, roll back and retry with a decayed learning rate when a
+// step goes non-finite, and resume bitwise-exactly from disk. (Checkpointed
+// MCMC is infer::MCMC with an MCMCPolicy.) Recovery activity is surfaced as
+// resil.* metrics and, on failure, cross-linked to the tx::obs::diag
+// forensic bundle.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "infer/mcmc.h"
 #include "infer/svi.h"
 #include "resil/checkpoint.h"
 #include "resil/guard.h"
@@ -70,68 +67,5 @@ struct FitReport {
 /// depend on tx_resil).
 FitReport fit_svi(infer::SVI& svi, std::int64_t num_steps,
                   const RetryPolicy& policy);
-
-/// Controls MCMCDriver checkpointing and divergence-storm handling.
-struct MCMCPolicy {
-  std::string checkpoint_path;  // "" = no persistence (still rounds)
-  /// Transitions per round; rounds are barriers, checkpoints happen at round
-  /// ends, and a storm rollback loses at most one round.
-  std::int64_t checkpoint_every = 50;
-  /// Divergences within one round that count as a storm for a chain
-  /// (-1 disables storm handling).
-  std::int64_t storm_threshold = -1;
-  /// Storm restarts tolerated per chain before run() throws.
-  int max_restarts = 3;
-  /// Step-size multiplier applied on each storm restart.
-  double step_size_factor = 0.5;
-  bool resume = true;
-};
-
-/// Fault-tolerant multi-chain MCMC. Chains advance in lockstep rounds of
-/// `checkpoint_every` transitions; because chains are independent and all
-/// per-chain state (position, kernel adaptation, generator) is carried in
-/// the checkpoint, a resumed run is bitwise-identical to an uninterrupted
-/// one at any TYXE_NUM_THREADS. On a divergence storm the chain is restored
-/// to its round-start state with a reduced step size.
-class MCMCDriver {
- public:
-  MCMCDriver(infer::KernelFactory factory, int num_samples, int warmup_steps,
-             int num_chains, MCMCPolicy policy);
-
-  void run(infer::Program model, Generator* gen = nullptr);
-
-  int num_chains() const { return num_chains_; }
-  bool resumed() const { return resumed_; }
-  std::int64_t restarts() const;
-  std::int64_t divergence_count() const;
-  /// Total kept draws across chains (chains concatenated, chain-major).
-  std::size_t num_samples() const;
-  std::vector<Tensor> get_samples(const std::string& site) const;
-  std::vector<double> coordinate_chain(std::size_t coord, int chain) const;
-
- private:
-  struct Chain {
-    std::shared_ptr<infer::MCMCKernel> kernel;
-    Generator gen{0};
-    std::vector<double> q;
-    std::int64_t done = 0;  // transitions completed (warmup + sampling)
-    std::int64_t restarts = 0;
-    std::vector<std::vector<double>> draws;
-  };
-
-  Bundle make_bundle() const;
-  void apply_bundle(const Bundle& b);
-  std::int64_t total_transitions() const {
-    return static_cast<std::int64_t>(warmup_) +
-           static_cast<std::int64_t>(num_samples_);
-  }
-
-  infer::KernelFactory factory_;
-  int num_samples_, warmup_, num_chains_;
-  MCMCPolicy policy_;
-  std::vector<Chain> chains_;
-  bool resumed_ = false;
-  bool ran_ = false;
-};
 
 }  // namespace tx::resil

@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dist/distributions.h"
 #include "infer/infer.h"
 #include "par/pool.h"
-#include "resil/resil.h"
 
 namespace tx {
 namespace {
@@ -181,29 +182,28 @@ TEST(McmcEquivalence, TwoChainNutsAtOneAndFourThreads) {
   par::set_num_threads(prev);
 }
 
-// The checkpointing driver with a default policy walks the same chains as
-// infer::MCMC: round barriers change nothing in the trajectories.
-TEST(McmcEquivalence, DefaultPolicyDriverMatchesMcmc) {
+// A policy that checkpoints every few transitions and watches for storms
+// (threshold never reached) walks the same chains as the default policy:
+// round barriers, snapshots and bundle writes change nothing.
+TEST(McmcEquivalence, CheckpointedPolicyMatchesDefault) {
   const int prev = par::num_threads();
   for (int threads : {1, 4}) {
     par::set_num_threads(threads);
+    infer::MCMCPolicy policy;
+    policy.checkpoint_path = ::testing::TempDir() + "mcmc_equiv_t" +
+                             std::to_string(threads) + ".ckpt";
+    policy.checkpoint_every = 3;
+    policy.storm_threshold = 1000;
+    std::remove(policy.checkpoint_path.c_str());
     manual_seed(7);
     Generator gen(2022);
-    resil::MCMCDriver driver(nuts_factory(), kSamples, kWarmup,
-                             /*num_chains=*/2, resil::MCMCPolicy{});
-    driver.run(equiv_model(), &gen);
-    ASSERT_EQ(driver.num_samples(), static_cast<std::size_t>(2 * kSamples));
-    for (std::size_t c = 0; c < kDim; ++c) {
-      for (int chain = 0; chain < 2; ++chain) {
-        const auto got = driver.coordinate_chain(c, chain);
-        ASSERT_EQ(got.size(), static_cast<std::size_t>(kSamples));
-        for (int i = 0; i < kSamples; ++i) {
-          EXPECT_EQ(got[static_cast<std::size_t>(i)], kNutsDraws[chain][c][i])
-              << "chain " << chain << " coord " << c << " draw " << i
-              << " threads=" << threads;
-        }
-      }
-    }
+    infer::MCMC mcmc(nuts_factory(), kSamples, kWarmup, /*num_chains=*/2,
+                     policy);
+    mcmc.run(equiv_model(), &gen);
+    EXPECT_FALSE(mcmc.resumed());
+    EXPECT_EQ(mcmc.restarts(), 0);
+    expect_nuts_draws(mcmc, threads);
+    std::remove(policy.checkpoint_path.c_str());
   }
   par::set_num_threads(prev);
 }

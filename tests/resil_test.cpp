@@ -511,27 +511,27 @@ TEST(McmcResume, TwoChainNutsBitwiseIdenticalAtEveryThreadCount) {
       return std::shared_ptr<infer::MCMCKernel>(
           std::make_shared<infer::NUTS>(0.1, 6));
     };
-    resil::MCMCPolicy policy;
+    infer::MCMCPolicy policy;
     policy.checkpoint_every = 20;
 
     // Uninterrupted reference run (no persistence).
     auto count_a = std::make_shared<std::atomic<long long>>(0);
     Generator gen_a(2024);
-    resil::MCMCDriver a(factory, /*num_samples=*/60, /*warmup=*/30,
-                        /*num_chains=*/2, policy);
+    infer::MCMC a(factory, /*num_samples=*/60, /*warmup=*/30,
+                  /*num_chains=*/2, policy);
     a.run(counting_model(count_a, kNoLimit), &gen_a);
     ASSERT_EQ(a.num_samples(), 120u);
 
     // Crash mid-run (after roughly half the model evaluations), then resume
     // from the last round checkpoint in a fresh driver.
-    resil::MCMCPolicy persisted = policy;
+    infer::MCMCPolicy persisted = policy;
     persisted.checkpoint_path =
         tmp_path("mcmc_resume_t" + std::to_string(threads) + ".ckpt");
     std::remove(persisted.checkpoint_path.c_str());
 
     auto count_b = std::make_shared<std::atomic<long long>>(0);
     Generator gen_b(2024);
-    resil::MCMCDriver b1(factory, 60, 30, 2, persisted);
+    infer::MCMC b1(factory, 60, 30, 2, persisted);
     EXPECT_THROW(b1.run(counting_model(count_b, count_a->load() / 2), &gen_b),
                  std::runtime_error);
     ASSERT_TRUE(resil::file_exists(persisted.checkpoint_path))
@@ -539,7 +539,7 @@ TEST(McmcResume, TwoChainNutsBitwiseIdenticalAtEveryThreadCount) {
 
     auto count_c = std::make_shared<std::atomic<long long>>(0);
     Generator gen_c(555);  // different seed: resume must restore generators
-    resil::MCMCDriver b2(factory, 60, 30, 2, persisted);
+    infer::MCMC b2(factory, 60, 30, 2, persisted);
     b2.run(counting_model(count_c, kNoLimit), &gen_c);
     EXPECT_TRUE(b2.resumed());
     ASSERT_EQ(b2.num_samples(), 120u);
@@ -569,13 +569,61 @@ TEST(McmcResume, TwoChainNutsBitwiseIdenticalAtEveryThreadCount) {
   par::set_num_threads(prev);
 }
 
+// A single chain steps on the caller's generator; checkpoints carry that
+// generator, so a crashed and resumed run replays the uninterrupted one.
+TEST(McmcResume, SingleChainHmcOnCallerGeneratorBitwiseIdentical) {
+  constexpr long long kNoLimit = 1LL << 60;
+  auto factory = [] {
+    return std::shared_ptr<infer::MCMCKernel>(
+        std::make_shared<infer::HMC>(0.1, 5));
+  };
+  infer::MCMCPolicy policy;
+  policy.checkpoint_every = 7;
+  policy.checkpoint_path = tmp_path("mcmc_resume_single.ckpt");
+  std::remove(policy.checkpoint_path.c_str());
+
+  // Uninterrupted reference: the plain kernel constructor, no policy.
+  manual_seed(3);
+  auto count_a = std::make_shared<std::atomic<long long>>(0);
+  Generator gen_a(77);
+  infer::MCMC a(factory(), /*num_samples=*/25, /*warmup=*/20);
+  a.run(counting_model(count_a, kNoLimit), &gen_a);
+  const std::uint64_t gen_a_next = gen_a.engine()();
+
+  manual_seed(3);
+  auto count_b = std::make_shared<std::atomic<long long>>(0);
+  Generator gen_b(77);
+  infer::MCMC b1(factory, 25, 20, 1, policy);
+  EXPECT_THROW(b1.run(counting_model(count_b, count_a->load() / 2), &gen_b),
+               std::runtime_error);
+  ASSERT_TRUE(resil::file_exists(policy.checkpoint_path))
+      << "crash before the first round checkpoint";
+  EXPECT_FALSE(b1.resumed());
+
+  manual_seed(3);
+  auto count_c = std::make_shared<std::atomic<long long>>(0);
+  Generator gen_c(555);  // different seed: resume must restore it
+  infer::MCMC b2(factory, 25, 20, 1, policy);
+  b2.run(counting_model(count_c, kNoLimit), &gen_c);
+  EXPECT_TRUE(b2.resumed());
+  EXPECT_LT(count_c->load(), count_a->load());  // did not start over
+  ASSERT_EQ(b2.num_samples(), 25u);
+  EXPECT_EQ(a.coordinate_chain(0), b2.coordinate_chain(0));
+  EXPECT_EQ(a.mean_accept_prob(), b2.mean_accept_prob());
+  EXPECT_EQ(a.divergence_count(), b2.divergence_count());
+  // The resumed chain stepped on the caller's generator to the same state.
+  EXPECT_EQ(gen_c.engine()(), gen_a_next);
+  std::remove(policy.checkpoint_path.c_str());
+  std::remove((policy.checkpoint_path + ".tmp").c_str());
+}
+
 TEST(McmcStorm, HalvesStepSizeAndRecovers) {
   auto factory = [] {
     // Absurd step size: every transition diverges until storms shrink it.
     return std::shared_ptr<infer::MCMCKernel>(
         std::make_shared<infer::HMC>(1000.0, 10, /*adapt=*/false));
   };
-  resil::MCMCPolicy policy;
+  infer::MCMCPolicy policy;
   policy.checkpoint_every = 50;  // whole run = one round
   policy.storm_threshold = 0;
   policy.max_restarts = 30;
@@ -583,8 +631,8 @@ TEST(McmcStorm, HalvesStepSizeAndRecovers) {
 
   Generator gen(31);
   auto count = std::make_shared<std::atomic<long long>>(0);
-  resil::MCMCDriver driver(factory, /*num_samples=*/20, /*warmup=*/0,
-                           /*num_chains=*/1, policy);
+  infer::MCMC driver(factory, /*num_samples=*/20, /*warmup=*/0,
+                     /*num_chains=*/1, policy);
   driver.run(counting_model(count, 1LL << 60), &gen);
 
   EXPECT_GE(driver.restarts(), 5);
@@ -599,7 +647,7 @@ TEST(McmcStorm, ExhaustedRestartsThrowCleanly) {
     return std::shared_ptr<infer::MCMCKernel>(
         std::make_shared<infer::HMC>(1000.0, 10, /*adapt=*/false));
   };
-  resil::MCMCPolicy policy;
+  infer::MCMCPolicy policy;
   policy.checkpoint_every = 50;
   policy.storm_threshold = 0;
   policy.max_restarts = 1;
@@ -607,7 +655,7 @@ TEST(McmcStorm, ExhaustedRestartsThrowCleanly) {
 
   Generator gen(31);
   auto count = std::make_shared<std::atomic<long long>>(0);
-  resil::MCMCDriver driver(factory, 20, 0, 1, policy);
+  infer::MCMC driver(factory, 20, 0, 1, policy);
   EXPECT_THROW(driver.run(counting_model(count, 1LL << 60), &gen), Error);
 }
 
