@@ -17,7 +17,6 @@
 #include "obs/obs.h"
 #include "par/pool.h"
 #include "ppl/diag.h"
-#include "ppl/profiling.h"
 #include "resil/fault.h"
 
 using tx::Tensor;

@@ -47,8 +47,8 @@ Tensor particle_mean(int num_particles, const std::function<Tensor()>& term) {
 
 std::pair<ppl::Trace, ppl::Trace> trace_model_guide(const Program& model,
                                                     const Program& guide) {
-  // Guide vs. model wall-time per trace, the split the ProfilingMessenger
-  // also reports ("span.elbo.guide" / "span.elbo.model" histograms).
+  // Guide vs. model wall-time per trace ("span.elbo.guide" /
+  // "span.elbo.model" histograms).
   ppl::Trace guide_trace = [&] {
     obs::ScopedTimer span("elbo.guide");
     return ppl::trace_fn(guide);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "obs/event_sink.h"
+#include "obs/trace.h"
+
 namespace tx::ppl {
 
 void TraceMessenger::postprocess_message(SampleMsg& msg) {
@@ -68,6 +71,16 @@ Trace trace_fn(const std::function<void()>& fn) {
     fn();
   }
   return std::move(tm.trace());
+}
+
+void TracingMessenger::postprocess_message(SampleMsg& msg) {
+  if (!obs::tracing()) return;
+  ++sites_traced_;
+  obs::Event args;
+  args.set("site", msg.name);
+  args.set("kind", msg.is_observed ? "observe" : "sample");
+  if (msg.value.defined()) args.set("numel", msg.value.numel());
+  obs::trace_instant("ppl." + msg.name, args.to_json());
 }
 
 }  // namespace tx::ppl

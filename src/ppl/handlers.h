@@ -1,5 +1,6 @@
 // Standard effect handlers: trace, replay, condition, block, scale, mask.
-// Each mirrors its Pyro poutine namesake.
+// Each mirrors its Pyro poutine namesake. TracingMessenger marks sites on the
+// Chrome-trace timeline (obs/trace.h).
 #pragma once
 
 #include <functional>
@@ -89,5 +90,25 @@ class BlockMessenger : public Messenger {
 /// Runs a nullary probabilistic program under a TraceMessenger and returns
 /// the resulting trace (pyro.poutine.trace(fn).get_trace()).
 Trace trace_fn(const std::function<void()>& fn);
+
+/// Marks every sample / observe site the wrapped program touches as an
+/// instant event on the tracer's timeline (obs/trace.h), tagged with the site
+/// name, kind, and element count. No-op while tracing is off, so it can stay
+/// attached permanently:
+///
+///   TracingMessenger tracer;
+///   HandlerScope scope(tracer);
+///   svi.step();   // every ppl site now ticks the timeline
+class TracingMessenger : public Messenger {
+ public:
+  /// Sites mark in postprocess_message (outermost-last), after the value
+  /// exists, so the event can carry the realized shape.
+  void postprocess_message(SampleMsg& msg) override;
+
+  std::int64_t sites_traced() const { return sites_traced_; }
+
+ private:
+  std::int64_t sites_traced_ = 0;
+};
 
 }  // namespace tx::ppl

@@ -1,11 +1,8 @@
 #include "ppl/param_store.h"
 
-#include "ppl/profiling.h"
-
 namespace tx::ppl {
 
 Tensor ParamStore::get_or_create(const std::string& name, const Tensor& init) {
-  detail::notify_param_site(name);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = params_.find(name);
   if (it != params_.end()) return it->second;
@@ -21,15 +18,12 @@ Tensor ParamStore::get_or_create(const std::string& name,
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = params_.find(name);
-    if (it != params_.end()) {
-      detail::notify_param_site(name);
-      return it->second;
-    }
+    if (it != params_.end()) return it->second;
   }
   // init() runs outside the lock (it may itself touch the store). If another
   // thread created the param meanwhile, the create path below returns the
   // existing tensor and this init value is discarded.
-  return get_or_create(name, init());  // notifies on the create path
+  return get_or_create(name, init());
 }
 
 bool ParamStore::contains(const std::string& name) const {

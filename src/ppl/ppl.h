@@ -5,5 +5,4 @@
 #include "ppl/handlers.h"
 #include "ppl/messenger.h"
 #include "ppl/param_store.h"
-#include "ppl/profiling.h"
 #include "ppl/trace.h"

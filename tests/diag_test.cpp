@@ -12,7 +12,10 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "infer/infer.h"
 #include "obs/obs.h"
@@ -49,7 +52,11 @@ class DiagTest : public ::testing::Test {
     obs::registry().clear();
     diag::reset();
     diag::Config cfg;
-    cfg.forensic_path = temp_path("tx_forensic_test.jsonl");
+    // ctest runs every case in its own process, possibly concurrently: a
+    // per-case, per-process dump keeps cases from deleting each other's.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    cfg.forensic_path = temp_path(std::string("tx_forensic_") + info->name() +
+                                  "_" + std::to_string(::getpid()) + ".jsonl");
     cfg.refresh_interval = 8;
     diag::configure(cfg);
     diag::reset();

@@ -1,6 +1,5 @@
-// Tests for tx::obs (metrics registry, scoped timers, JSONL event sink) and
-// the ProfilingMessenger poutine, including the disabled-overhead bound the
-// subsystem promises.
+// Tests for tx::obs (metrics registry, scoped timers, JSONL event sink),
+// including the disabled-overhead bound the subsystem promises.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -243,39 +242,9 @@ void toy_model() {
   ppl::sample("obs", normal, Tensor::scalar(0.5f));
 }
 
-TEST_F(ObsTest, ProfilingMessengerCountsSites) {
-  ppl::ProfilingMessenger prof;
-  prof.run("model", toy_model);
-  prof.run("model", toy_model);
-  EXPECT_EQ(prof.sample_count(), 6);
-  EXPECT_EQ(prof.observe_count(), 2);
-  EXPECT_EQ(prof.param_count(), 2);
-  EXPECT_EQ(prof.site_counts().at("a"), 2);
-  EXPECT_EQ(prof.site_counts().at("obs"), 2);
-  ASSERT_TRUE(prof.sections().count("model"));
-  EXPECT_EQ(prof.sections().at("model").calls, 2);
-  EXPECT_GE(prof.sections().at("model").seconds, 0.0);
-
-  prof.publish("toy");
-  EXPECT_EQ(obs::registry().counters().at("toy.sample_sites"), 6);
-  EXPECT_EQ(obs::registry().counters().at("toy.observe_sites"), 2);
-  EXPECT_EQ(obs::registry().counters().at("toy.param_sites"), 2);
-
-  prof.reset();
-  EXPECT_EQ(prof.sample_count(), 0);
-  EXPECT_TRUE(prof.site_counts().empty());
-}
-
-TEST_F(ObsTest, ProfilingMessengerSeesNothingOutsideScope) {
-  ppl::ProfilingMessenger prof;
-  toy_model();  // not under the profiler
-  EXPECT_EQ(prof.sample_count(), 0);
-  EXPECT_EQ(prof.param_count(), 0);
-}
-
-/// The acceptance bound: with the runtime switch off, running a model under
-/// full instrumentation (timer span + profiler attached) costs < 5% over the
-/// bare model. Best-of-N timing on both sides to shake scheduler noise.
+/// The acceptance bound: with the runtime switch off, running a model inside
+/// a timer span costs < 5% over the bare model. Best-of-N timing on both
+/// sides to shake scheduler noise.
 TEST_F(ObsTest, DisabledInstrumentationOverheadUnderFivePercent) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "timing bound is for plain builds; sanitizers dilate it";
@@ -285,24 +254,27 @@ TEST_F(ObsTest, DisabledInstrumentationOverheadUnderFivePercent) {
 #endif
 #endif
   constexpr int kIters = 300, kRepeats = 7;
-  auto time_best_of = [&](const std::function<void()>& fn) {
-    double best = 1e300;
-    for (int r = 0; r < kRepeats; ++r) {
-      const double t0 = obs::now_seconds();
-      for (int i = 0; i < kIters; ++i) fn();
-      best = std::min(best, obs::now_seconds() - t0);
-    }
-    return best;
+  const auto time_once = [](const std::function<void()>& fn) {
+    const double t0 = obs::now_seconds();
+    for (int i = 0; i < kIters; ++i) fn();
+    return obs::now_seconds() - t0;
+  };
+  const auto bare_fn = [] { toy_model(); };
+  const auto instrumented_fn = [] {
+    obs::ScopedTimer span("overhead.model");
+    toy_model();
   };
 
+  // Repeats interleave the two sides (alternating which runs first), so a
+  // drift in machine speed during the test lands on both best-of-N minima
+  // instead of on whichever side happened to be timed second.
   obs::set_enabled(false);
-  ppl::ProfilingMessenger prof;
-  const double bare = time_best_of([] { toy_model(); });
-  const double instrumented = time_best_of([&] {
-    obs::ScopedTimer span("overhead.model");
-    ppl::ProfilingScope scope(prof);
-    toy_model();
-  });
+  double bare = 1e300, instrumented = 1e300;
+  for (int r = 0; r < kRepeats; ++r) {
+    if (r % 2 == 0) bare = std::min(bare, time_once(bare_fn));
+    instrumented = std::min(instrumented, time_once(instrumented_fn));
+    if (r % 2 == 1) bare = std::min(bare, time_once(bare_fn));
+  }
   obs::set_enabled(true);
 
   // 5% relative plus a 50us absolute floor so a sub-microsecond toy model on
