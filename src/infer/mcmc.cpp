@@ -18,25 +18,31 @@ namespace tx::infer {
 
 namespace {
 
-/// Feed per-site R̂/ESS into tx::obs::diag from a slice of per-position
-/// draws: for each site span the per-coordinate single-chain estimates are
-/// aggregated conservatively (min ESS, max R̂ over the site's coordinates).
-/// Short slices simply produce NaN (the diagnostics.h contract), which
+/// Feed per-site R̂/ESS into tx::obs::diag from equal-length slices
+/// [begin, begin + len) of the chain-major draws, one slice per chain. For
+/// each site span the per-coordinate estimates (single-chain for one slice,
+/// the real multi-chain split-R̂ / ESS for several) are aggregated
+/// conservatively: min ESS, max R̂ over the site's coordinates. Short slices
+/// simply produce NaN (the diagnostics.h contract), which
 /// mcmc_update_site_health ignores.
 void refresh_site_health(const std::vector<obs::diag::SiteSpan>& spans,
                          const std::vector<std::vector<double>>& draws,
-                         std::size_t begin, std::size_t end) {
-  if (end <= begin) return;
-  std::vector<double> chain;
-  chain.reserve(end - begin);
+                         const std::vector<std::size_t>& begins,
+                         std::size_t len) {
+  if (len == 0) return;
+  std::vector<std::vector<double>> chains(begins.size());
   for (const auto& span : spans) {
     double ess_min = std::numeric_limits<double>::infinity();
     double rhat_max = -std::numeric_limits<double>::infinity();
     for (std::size_t c = span.begin; c < span.end; ++c) {
-      chain.clear();
-      for (std::size_t i = begin; i < end; ++i) chain.push_back(draws[i][c]);
-      const double ess = effective_sample_size(chain);
-      const double rhat = split_r_hat(chain);
+      for (std::size_t k = 0; k < begins.size(); ++k) {
+        chains[k].clear();
+        for (std::size_t i = begins[k]; i < begins[k] + len; ++i) {
+          chains[k].push_back(draws[i][c]);
+        }
+      }
+      const double ess = effective_sample_size(chains);
+      const double rhat = split_r_hat(chains);
       if (std::isfinite(ess) && ess < ess_min) ess_min = ess;
       if (std::isfinite(rhat) && rhat > rhat_max) rhat_max = rhat;
     }
@@ -198,9 +204,9 @@ void MCMC::run(Program model, Generator* gen,
   }
   draws_.assign(chains_.size() * static_cast<std::size_t>(num_samples_), {});
 
-  // Model code runs during setup (the Potential layout trace); a derived
-  // chain generator must be installed so it never draws from the shared
-  // global one.
+  // Setup traces the model (the Potential layout), so multi-chain runs do it
+  // under the chain's GeneratorScope: model code must never draw from the
+  // shared global generator there.
   const auto setup = [&model](Chain& chain) {
     chain.kernel->setup(model, chain.gen);
     chain.q = chain.kernel->initial_position();
@@ -235,9 +241,8 @@ void MCMC::run(Program model, Generator* gen,
   std::mutex* sync = multi ? &progress_mu : nullptr;
 
   // Advance one chain to the end of the current round. Incremental
-  // per-chain health: conservative, single-chain estimates over this
-  // chain's draws so far (short slices → NaN → ignored); the final refresh
-  // after the last round supersedes it.
+  // per-chain health: single-chain estimates over this chain's draws so far;
+  // the cross-chain refresh after the last round supersedes it.
   const auto advance = [&](std::size_t c, std::int64_t until) {
     Chain& chain = chains_[c];
     if (!set_up) setup(chain);
@@ -251,11 +256,11 @@ void MCMC::run(Program model, Generator* gen,
                                   warmup ? warmup_ : num_samples_, progress,
                                   static_cast<std::int64_t>(c), sync);
       if (warmup) continue;
-      const std::size_t kept = static_cast<std::size_t>(step) + 1;
-      draws_[base + kept - 1] = chain.q;
-      if (diag_on && refresh > 0 &&
-          kept % static_cast<std::size_t>(refresh) == 0) {
-        refresh_site_health(spans, draws_, base, base + kept);
+      const std::size_t at = base + static_cast<std::size_t>(step);
+      draws_[at] = chain.q;
+      if (diag_on && refresh > 0 && (step + 1) % refresh == 0) {
+        refresh_site_health(spans, draws_, {base},
+                            static_cast<std::size_t>(step) + 1);
       }
     }
   };
@@ -274,8 +279,7 @@ void MCMC::run(Program model, Generator* gen,
         std::ostringstream ks;
         chain.kernel->save_state(ks);
         starts.push_back({ks.str(),
-                          chain.gen ? *chain.gen : global_generator(),
-                          chain.q, chain.done,
+                          chain.rng(), chain.q, chain.done,
                           chain.kernel->divergence_count()});
       }
     }
@@ -319,7 +323,7 @@ void MCMC::run(Program model, Generator* gen,
       // Restore the chain to the round start and back off the step size.
       std::istringstream ks(start.kernel_state);
       chain.kernel->load_state(ks);
-      (chain.gen ? *chain.gen : global_generator()) = start.gen;
+      chain.rng() = start.gen;
       chain.q = start.q;
       chain.done = start.done;
       auto* hmc = dynamic_cast<HMC*>(chain.kernel.get());
@@ -340,35 +344,13 @@ void MCMC::run(Program model, Generator* gen,
     }
   }
 
-  if (diag_on && !multi) {
-    refresh_site_health(diag_layout(kernel_->potential()), draws_, 0,
-                        draws_.size());
-  } else if (diag_on) {
-    // Final cross-chain refresh: the real multi-chain split-R̂ / ESS over
-    // all chains, aggregated per site (min ESS, max R̂ over coordinates).
-    const auto spans = diag_layout(kernel_->potential());
-    for (const auto& span : spans) {
-      double ess_min = std::numeric_limits<double>::infinity();
-      double rhat_max = -std::numeric_limits<double>::infinity();
-      for (std::size_t coord = span.begin; coord < span.end; ++coord) {
-        std::vector<std::vector<double>> chains;
-        chains.reserve(static_cast<std::size_t>(num_chains_));
-        for (int c = 0; c < num_chains_; ++c) {
-          chains.push_back(coordinate_chain(coord, c));
-        }
-        const double ess = effective_sample_size(chains);
-        const double rhat = split_r_hat(chains);
-        if (std::isfinite(ess) && ess < ess_min) ess_min = ess;
-        if (std::isfinite(rhat) && rhat > rhat_max) rhat_max = rhat;
-      }
-      obs::diag::mcmc_update_site_health(
-          span.name,
-          std::isfinite(ess_min) ? ess_min
-                                 : std::numeric_limits<double>::quiet_NaN(),
-          std::isfinite(rhat_max)
-              ? rhat_max
-              : std::numeric_limits<double>::quiet_NaN());
+  if (diag_on) {
+    std::vector<std::size_t> begins;
+    for (std::size_t c = 0; c < chains_.size(); ++c) {
+      begins.push_back(c * static_cast<std::size_t>(num_samples_));
     }
+    refresh_site_health(diag_layout(kernel_->potential()), draws_, begins,
+                        static_cast<std::size_t>(num_samples_));
   }
   if (obs::enabled()) {
     obs::registry()
@@ -403,8 +385,7 @@ resil::Bundle MCMC::make_bundle() const {
     std::ostringstream ks;
     chain.kernel->save_state(ks);
     b.set(chain_section(c, "kernel"), ks.str());
-    b.set(chain_section(c, "gen"),
-          resil::generator_bytes(chain.gen ? *chain.gen : global_generator()));
+    b.set(chain_section(c, "gen"), resil::generator_bytes(chain.rng()));
   }
   return b;
 }
@@ -446,15 +427,19 @@ void MCMC::apply_bundle(const resil::Bundle& b) {
     for (std::int64_t i = 0; i < ndraws; ++i) {
       s.draws.push_back(textio::read_vec_d(cm, "draw"));
     }
+    const auto dim = static_cast<std::size_t>(
+        chains_[c].kernel->potential().dim());
+    bool sized = s.q.size() == dim;
+    for (const auto& d : s.draws) sized &= d.size() == dim;
+    TX_CHECK(sized, "tx.ckpt.v1: chain position size does not match the model");
   }
   for (std::size_t c = 0; c < chains_.size(); ++c) {
     Chain& chain = chains_[c];
     Staged& s = staged[c];
     std::istringstream ks(b.get(chain_section(c, "kernel")));
     chain.kernel->load_state(ks);
-    resil::apply_generator_bytes(
-        b.get(chain_section(c, "gen")),
-        chain.gen ? *chain.gen : global_generator());
+    resil::apply_generator_bytes(b.get(chain_section(c, "gen")),
+                                 chain.rng());
     chain.done = s.done;
     chain.restarts = s.restarts;
     chain.q = std::move(s.q);

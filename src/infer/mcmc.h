@@ -105,6 +105,7 @@ class MCMC {
     std::vector<double> q;
     std::int64_t done = 0;  // transitions completed (warmup + sampling)
     std::int64_t restarts = 0;
+    Generator& rng() const { return gen ? *gen : global_generator(); }
   };
 
   resil::Bundle make_bundle() const;
@@ -115,8 +116,8 @@ class MCMC {
   int num_samples_, warmup_;
   int num_chains_ = 1;
   MCMCPolicy policy_;
-  std::vector<Chain> chains_;          // after run
   std::vector<Generator> chain_gens_;  // outlive chains_ (kernels keep ptrs)
+  std::vector<Chain> chains_;          // after run
   std::vector<std::vector<double>> draws_;  // chain-major
   bool resumed_ = false;
 };

@@ -617,6 +617,43 @@ TEST(McmcResume, SingleChainHmcOnCallerGeneratorBitwiseIdentical) {
   std::remove((policy.checkpoint_path + ".tmp").c_str());
 }
 
+TEST(McmcResume, MismatchedCheckpointThrowsCleanly) {
+  auto factory = [] {
+    return std::shared_ptr<infer::MCMCKernel>(
+        std::make_shared<infer::HMC>(0.1, 5));
+  };
+  infer::MCMCPolicy policy;
+  policy.checkpoint_every = 5;
+  policy.checkpoint_path = tmp_path("mcmc_mismatch.ckpt");
+  std::remove(policy.checkpoint_path.c_str());
+  auto count = std::make_shared<std::atomic<long long>>(0);
+  Generator gen(5);
+  infer::MCMC(factory, 10, 5, 1, policy)
+      .run(counting_model(count, 1LL << 60), &gen);
+  const auto good = resil::Bundle::read_file(policy.checkpoint_path);
+
+  // A model with more latent coordinates than the checkpointed chain.
+  const infer::Program wider = [] {
+    ppl::sample("z", std::make_shared<Normal>(0.0f, 1.0f));
+    ppl::sample("y", std::make_shared<Normal>(0.0f, 1.0f));
+  };
+  EXPECT_THROW(infer::MCMC(factory, 10, 5, 1, policy).run(wider, &gen),
+               Error);
+
+  // Progress that disagrees with the number of stored draws.
+  auto bad = good;
+  std::string state = bad.get("chain0.state");
+  ASSERT_EQ(state.rfind("done 15 ", 0), 0u) << state;
+  state.replace(0, 7, "done 12");
+  bad.set("chain0.state", state);
+  ASSERT_TRUE(bad.write_file(policy.checkpoint_path));
+  EXPECT_THROW(infer::MCMC(factory, 10, 5, 1, policy)
+                   .run(counting_model(count, 1LL << 60), &gen),
+               Error);
+  std::remove(policy.checkpoint_path.c_str());
+  std::remove((policy.checkpoint_path + ".tmp").c_str());
+}
+
 TEST(McmcStorm, HalvesStepSizeAndRecovers) {
   auto factory = [] {
     // Absurd step size: every transition diverges until storms shrink it.
