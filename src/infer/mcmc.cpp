@@ -278,8 +278,7 @@ void MCMC::run(Program model, Generator* gen,
       for (const auto& chain : chains_) {
         std::ostringstream ks;
         chain.kernel->save_state(ks);
-        starts.push_back({ks.str(),
-                          chain.rng(), chain.q, chain.done,
+        starts.push_back({ks.str(), chain.rng(), chain.q, chain.done,
                           chain.kernel->divergence_count()});
       }
     }
