@@ -94,6 +94,10 @@ struct UnaryCase {
   float lo, hi;  // input sampling range (keeps domains valid)
 };
 
+// Without a printer gtest lists the raw bytes of the case, a heap address
+// among them, so the listed test names would change from run to run.
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
+
 class UnaryGradCheck : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnaryGradCheck, MatchesFiniteDifferences) {
@@ -139,6 +143,8 @@ struct BinaryCase {
   std::function<Tensor(const Tensor&, const Tensor&)> fn;
   Shape sa, sb;
 };
+
+void PrintTo(const BinaryCase& c, std::ostream* os) { *os << c.name; }
 
 class BinaryGradCheck : public ::testing::TestWithParam<BinaryCase> {};
 
