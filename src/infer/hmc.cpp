@@ -275,13 +275,10 @@ double HMC::kinetic(const std::vector<double>& p) const {
 
 std::vector<double> HMC::sample_momentum(std::size_t dim, Generator& g) const {
   std::vector<double> p(dim);
-  if (inv_mass_.empty()) {
-    for (auto& v : p) v = g.normal();
-  } else {
+  g.normal_fill(p.data(), dim);
+  if (!inv_mass_.empty()) {
     // p ~ N(0, M) with M = diag(1 / inv_mass).
-    for (std::size_t i = 0; i < dim; ++i) {
-      p[i] = g.normal() / std::sqrt(inv_mass_[i]);
-    }
+    for (std::size_t i = 0; i < dim; ++i) p[i] /= std::sqrt(inv_mass_[i]);
   }
   return p;
 }

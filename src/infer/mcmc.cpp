@@ -106,7 +106,9 @@ std::vector<double> instrumented_step(MCMCKernel& kernel,
     if (obs::enabled()) {
       auto& reg = obs::registry();
       reg.counter(warmup ? "mcmc.warmup_steps" : "mcmc.samples").add(1);
-      reg.gauge("mcmc.accept_prob").set(p.mean_accept_prob);
+      // Several chains emit in scheduling order, so their gauge is set
+      // from the chain-ordered mean at each round barrier instead.
+      if (!sync) reg.gauge("mcmc.accept_prob").set(p.mean_accept_prob);
       // Log-bucketed so per-chain timings merge exactly (obs/hist.h); the
       // heartbeat feeds the live server's /healthz staleness check.
       reg.log_histogram("mcmc.step_seconds").record(p.seconds);
@@ -336,6 +338,9 @@ void MCMC::run(Program model, Generator* gen,
       }
     }
 
+    if (obs::enabled()) {
+      obs::registry().gauge("mcmc.accept_prob").set(mean_accept_prob());
+    }
     if (has_file) {
       bump(make_bundle().write_file(policy_.checkpoint_path)
                ? "resil.ckpt.writes"

@@ -13,7 +13,9 @@ namespace tx::infer {
 
 /// Per-transition progress record handed to the MCMC callback and mirrored
 /// into the obs registry ("mcmc.warmup_steps", "mcmc.samples",
-/// "mcmc.divergences", "mcmc.accept_prob", "mcmc.step_seconds").
+/// "mcmc.divergences", "mcmc.accept_prob", "mcmc.step_seconds"). The
+/// "mcmc.accept_prob" gauge always holds MCMC::mean_accept_prob(): per
+/// transition for one chain, at round barriers for several.
 struct MCMCProgress {
   bool warmup = false;
   std::int64_t step = 0;         // 0-based within the phase

@@ -113,7 +113,7 @@ std::vector<double> NUTS::step(const std::vector<double>& q0, bool warmup) {
   const double eps = (warmup && adapt_) ? averager_.current() : step_size_;
 
   std::vector<double> p0(q0.size());
-  for (auto& v : p0) v = g.normal();
+  g.normal_fill(p0.data(), p0.size());
   std::vector<double> grad0;
   const double u0 = potential_->value_and_grad(q0, grad0);
   const double h0 = u0 + kinetic(p0);

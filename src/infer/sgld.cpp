@@ -25,8 +25,10 @@ std::vector<double> SGLD::step(const std::vector<double>& q0, bool warmup) {
   potential_->value_and_grad(q0, grad);
   std::vector<double> q = q0;
   const double noise_std = std::sqrt(eps);
+  std::vector<double> noise(q.size());
+  g.normal_fill(noise.data(), noise.size());
   for (std::size_t i = 0; i < q.size(); ++i) {
-    q[i] += -0.5 * eps * grad[i] + noise_std * g.normal();
+    q[i] += -0.5 * eps * grad[i] + noise_std * noise[i];
   }
   // Langevin proposals are always "accepted".
   accept_stat_ += 1.0;

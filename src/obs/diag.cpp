@@ -25,6 +25,21 @@ double Welford::variance() const {
 
 double Welford::stddev() const { return std::sqrt(variance()); }
 
+void Welford::merge(const Welford& other) {
+  if (other.count == 0) return;
+  if (count == 0) {
+    *this = other;
+    return;
+  }
+  const double n = static_cast<double>(count + other.count);
+  const double delta = other.mean - mean;
+  const double nb = static_cast<double>(other.count);
+  const double na = static_cast<double>(count);
+  mean += delta * nb / n;
+  m2 += other.m2 + delta * delta * na * nb / n;
+  count += other.count;
+}
+
 #ifndef TX_OBS_DISABLED
 
 namespace {
@@ -48,8 +63,19 @@ struct ParamStats {
   std::int64_t nonfinite = 0;
 };
 
+/// One accumulator per chain, merged in chain order when read: chains run
+/// concurrently, so a single running accumulator would depend on the order
+/// in which their transitions happened to arrive.
+using PerChain = std::map<int, Welford>;
+
+Welford chain_ordered(const PerChain& by_chain) {
+  Welford all;
+  for (const auto& [chain, w] : by_chain) all.merge(w);
+  return all;
+}
+
 struct McmcSiteStats {
-  Welford value_w;  // per-draw site means (sampling phase)
+  PerChain value_w;  // per-draw site means (sampling phase)
   std::int64_t moved = 0;        // transitions where this site's block changed
   std::int64_t transitions = 0;  // sampling-phase transitions seen
   double ess = std::numeric_limits<double>::quiet_NaN();
@@ -77,7 +103,7 @@ struct HealthState {
   // MCMC health.
   std::int64_t mcmc_transitions = 0;
   std::int64_t mcmc_divergences = 0;
-  Welford accept_w;  // sampling-phase Metropolis accept_prob per transition
+  PerChain accept_w;  // sampling-phase Metropolis accept_prob per transition
   std::set<int> chains_seen;
   std::map<std::string, McmcSiteStats> mcmc_sites;
 
@@ -305,7 +331,9 @@ void mcmc_record_transition(const std::vector<SiteSpan>& spans, int chain,
   std::lock_guard<std::mutex> lock(s.mu);
   ++s.mcmc_transitions;
   s.chains_seen.insert(chain);
-  if (!warmup && std::isfinite(accept_prob)) s.accept_w.add(accept_prob);
+  if (!warmup && std::isfinite(accept_prob)) {
+    s.accept_w[chain].add(accept_prob);
+  }
   std::string bad_site;
   std::vector<double> bad_values;
   for (const SiteSpan& span : spans) {
@@ -337,7 +365,7 @@ void mcmc_record_transition(const std::vector<SiteSpan>& spans, int chain,
     ++st.transitions;
     if (moved) ++st.moved;
     const auto n = static_cast<double>(span.end - span.begin);
-    if (finite && n > 0) st.value_w.add(sum / n);
+    if (finite && n > 0) st.value_w[chain].add(sum / n);
   }
   Event rec;
   rec.set("kind", "mcmc")
@@ -482,8 +510,9 @@ void publish(MetricsRegistry& reg) {
   reg.gauge("diag.mcmc.divergences")
       .set(static_cast<double>(s.mcmc_divergences));
   reg.gauge("diag.mcmc.chains").set(static_cast<double>(s.chains_seen.size()));
-  if (s.accept_w.count > 0 && std::isfinite(s.accept_w.mean)) {
-    reg.gauge("diag.mcmc.accept_prob_mean").set(s.accept_w.mean);
+  const Welford accept = chain_ordered(s.accept_w);
+  if (accept.count > 0 && std::isfinite(accept.mean)) {
+    reg.gauge("diag.mcmc.accept_prob_mean").set(accept.mean);
   }
   double rhat_max = -std::numeric_limits<double>::infinity();
   double ess_min = std::numeric_limits<double>::infinity();
@@ -618,8 +647,9 @@ bool write_snapshot(const std::string& path, const std::string& bench_name) {
   out << "    \"chains\": " << s.chains_seen.size() << ",\n";
   out << "    \"transitions\": " << s.mcmc_transitions << ",\n";
   out << "    \"divergences\": " << s.mcmc_divergences << ",\n";
-  if (s.accept_w.count > 0 && std::isfinite(s.accept_w.mean)) {
-    out << "    \"accept_prob_mean\": " << render_json_number(s.accept_w.mean)
+  const Welford accept = chain_ordered(s.accept_w);
+  if (accept.count > 0 && std::isfinite(accept.mean)) {
+    out << "    \"accept_prob_mean\": " << render_json_number(accept.mean)
         << ",\n";
   }
   out << "    \"sites\": {";
@@ -629,7 +659,8 @@ bool write_snapshot(const std::string& path, const std::string& bench_name) {
         << "\": {";
     std::string body;
     bool first = true;
-    emit_field(body, first, "draws", st.value_w.count);
+    const Welford values = chain_ordered(st.value_w);
+    emit_field(body, first, "draws", values.count);
     emit_field(body, first, "transitions", st.transitions);
     emit_field(body, first, "moved", st.moved);
     emit_field(body, first, "divergence_blame", st.blame);
@@ -640,10 +671,10 @@ bool write_snapshot(const std::string& path, const std::string& bench_name) {
                  static_cast<double>(st.moved) /
                      static_cast<double>(st.transitions));
     }
-    if (st.value_w.count > 0) {
-      emit_field(body, first, "mean", st.value_w.mean);
+    if (values.count > 0) {
+      emit_field(body, first, "mean", values.mean);
       emit_field(body, first, "std",
-                 st.value_w.count >= 2 ? st.value_w.stddev() : 0.0);
+                 values.count >= 2 ? values.stddev() : 0.0);
     }
     emit_field(body, first, "ess", st.ess);    // skipped unless finite
     emit_field(body, first, "rhat", st.rhat);  // skipped unless finite

@@ -52,6 +52,9 @@ struct Welford {
     mean += delta / static_cast<double>(count);
     m2 += delta * (x - mean);
   }
+  /// Folds in another accumulator's samples (Chan et al.'s pairwise
+  /// update). Merging into an empty accumulator copies `other` exactly.
+  void merge(const Welford& other);
   double variance() const;  // sample variance; NaN when count < 2
   double stddev() const;    // sqrt(variance()); NaN when count < 2
 };

@@ -430,7 +430,7 @@ Tensor randn(Shape shape, Generator* gen) {
   Generator& g = gen ? *gen : global_generator();
   const std::int64_t n = numel_of(shape);
   std::vector<float> v = alloc::buffer_uninit(n);
-  for (auto& x : v) x = static_cast<float>(g.normal());
+  g.normal_fill(v.data(), v.size());
   return Tensor(std::move(shape), std::move(v));
 }
 

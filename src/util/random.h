@@ -3,6 +3,7 @@
 // so every experiment is replayable from a printed seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -10,8 +11,56 @@
 
 namespace tx {
 
-/// Thin wrapper around std::mt19937_64 with the sampling primitives the
-/// library needs. Copyable; copies continue the same stream independently.
+/// MT19937-64 with the same outputs, seeding and text state format as
+/// std::mt19937_64, so every stream and saved state matches the standard
+/// engine word for word. It is its own class so Generator can read a run of
+/// state words at once (normal_fill) instead of paying one opaque call and
+/// one twist check per word. Satisfies UniformRandomBitGenerator, so the
+/// standard distributions and std::shuffle take it directly.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t state_size = 312;
+
+  explicit Mt19937_64(result_type s) { seed(s); }
+
+  void seed(result_type s);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type(0); }
+
+  result_type operator()() {
+    if (p_ >= state_size) twist();
+    return temper(x_[p_++]);
+  }
+
+  /// The standard's text format for mt19937_64: the 312 state words, then
+  /// the position, separated by spaces.
+  friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
+  /// Reads that format. Truncated or non-numeric text, or a position past
+  /// the state, sets failbit and leaves the engine unchanged.
+  friend std::istream& operator>>(std::istream& is, Mt19937_64& e);
+
+ private:
+  friend class Generator;
+
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+  /// Regenerates all state words and rewinds the position to 0.
+  void twist();
+
+  result_type x_[state_size];
+  std::size_t p_;
+};
+
+/// Mt19937_64 plus the sampling primitives the library needs. Copyable;
+/// copies continue the same stream independently.
 class Generator {
  public:
   explicit Generator(std::uint64_t seed = 0x5eed5eedULL) : engine_(seed) {}
@@ -28,12 +77,18 @@ class Generator {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Standard normal.
-  double normal() { return std::normal_distribution<double>(0.0, 1.0)(engine_); }
+  /// Fills out[0, n) with standard normals: the values, and the engine
+  /// words consumed, of n successive draws of a fresh
+  /// std::normal_distribution<double> (cast to float for the float
+  /// overload), computed a block of engine words at a time.
+  void normal_fill(double* out, std::size_t n);
+  void normal_fill(float* out, std::size_t n);
 
-  double normal(double mean, double std) {
-    return std::normal_distribution<double>(mean, std)(engine_);
-  }
+  /// Standard normal: the one-element normal_fill.
+  double normal();
+
+  /// N(mean, stddev^2): std::normal_distribution<double>(mean, stddev).
+  double normal(double mean, double stddev);
 
   /// Integer in [lo, hi] inclusive.
   std::int64_t randint(std::int64_t lo, std::int64_t hi) {
@@ -49,17 +104,21 @@ class Generator {
     return std::gamma_distribution<double>(shape, scale)(engine_);
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
-  /// Exact engine-state serialization (the standard's text format for
-  /// mt19937_64). Distributions are constructed fresh per draw, so the
-  /// engine is the complete RNG state: save/load round-trips reproduce the
-  /// stream bit-for-bit, which is what makes checkpoint resume exact.
+  /// Exact engine-state serialization in the standard's mt19937_64 text
+  /// format. No draw keeps state outside the engine (each primitive acts
+  /// like a freshly constructed std distribution), so save/load round-trips
+  /// reproduce the stream bit-for-bit, which is what makes checkpoint
+  /// resume exact.
   void save(std::ostream& os) const { os << engine_; }
   void load(std::istream& is) { is >> engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  template <typename T>
+  void polar_fill(T* out, std::size_t n, double mean, double stddev);
+
+  Mt19937_64 engine_;
 };
 
 /// Process-wide generator used by default tensor factories and samplers.

@@ -19,6 +19,7 @@
 
 #include "infer/infer.h"
 #include "obs/obs.h"
+#include "par/pool.h"
 #include "ppl/diag.h"
 #include "ppl/ppl.h"
 
@@ -93,6 +94,24 @@ TEST(DiagWelford, MatchesClosedFormMoments) {
   EXPECT_DOUBLE_EQ(w.mean, 3.0);
   EXPECT_DOUBLE_EQ(w.variance(), 4.0);  // sample variance of {1,3,5}
   EXPECT_DOUBLE_EQ(w.stddev(), 2.0);
+}
+
+TEST(DiagWelford, MergeMatchesOneAccumulator) {
+  const double xs[] = {0.5, -1.25, 2.0, 3.5, -0.75, 1.0, 4.25};
+  diag::Welford all, a, b, empty;
+  for (int i = 0; i < 7; ++i) {
+    all.add(xs[i]);
+    (i < 3 ? a : b).add(xs[i]);
+  }
+  diag::Welford merged;
+  merged.merge(a);
+  EXPECT_EQ(merged.mean, a.mean);  // into empty: an exact copy
+  EXPECT_EQ(merged.m2, a.m2);
+  merged.merge(empty);
+  merged.merge(b);
+  EXPECT_EQ(merged.count, 7);
+  EXPECT_NEAR(merged.mean, all.mean, 1e-12);
+  EXPECT_NEAR(merged.variance(), all.variance(), 1e-12);
 }
 
 TEST_F(DiagTest, DisabledHooksAreInert) {
@@ -310,6 +329,52 @@ TEST_F(DiagTest, MultiChainMcmcStreamsUnderParWorkers) {
   // The post-join cross-chain refresh produced per-site health.
   ASSERT_TRUE(gauges.count("diag.mcmc.ess_min"));
   EXPECT_GT(gauges.at("diag.mcmc.ess_min"), 0.0);
+}
+
+// Per-site mean/std and the accept-prob mean come from per-chain
+// accumulators merged in chain order, so the snapshot does not depend on how
+// the pool interleaved the chains' transitions.
+TEST_F(DiagTest, MultiChainSiteStatsIndependentOfThreads) {
+  const infer::Program model = [] {
+    Tensor a = ppl::sample("a", std::make_shared<Normal>(0.0f, 1.0f));
+    Tensor w =
+        ppl::sample("w", std::make_shared<Normal>(zeros({2}), ones({2})));
+    ppl::sample("obs",
+                std::make_shared<Normal>(add(broadcast_to(a, Shape{2}), w),
+                                         full({2}, 0.3f)),
+                Tensor(Shape{2}, {0.8f, -0.4f}));
+  };
+  const int prev = par::num_threads();
+  std::string reference;
+  for (int threads : {1, 2, 4}) {
+    par::set_num_threads(threads);
+    diag::reset();
+    diag::set_enabled(true);
+    manual_seed(51);
+    Generator gen(51);
+    infer::MCMC mcmc([] { return std::make_shared<infer::NUTS>(0.1, 4); },
+                     /*num_samples=*/24, /*warmup_steps=*/12,
+                     /*num_chains=*/3);
+    mcmc.run(model, &gen);
+    const std::string path =
+        temp_path("diag_chains_t" + std::to_string(threads) + ".json");
+    ASSERT_TRUE(diag::write_snapshot(path, "diag_chains"));
+    const std::string doc = read_file(path);
+    std::remove(path.c_str());
+    const auto begin = doc.find("\"mcmc\": {");
+    const auto end = doc.find("\"events\"");
+    ASSERT_NE(begin, std::string::npos);
+    ASSERT_NE(end, std::string::npos);
+    const std::string mcmc_doc = doc.substr(begin, end - begin);
+    EXPECT_NE(mcmc_doc.find("\"accept_prob_mean\""), std::string::npos);
+    EXPECT_NE(mcmc_doc.find("\"std\""), std::string::npos);
+    if (reference.empty()) {
+      reference = mcmc_doc;
+    } else {
+      EXPECT_EQ(mcmc_doc, reference) << "threads=" << threads;
+    }
+  }
+  par::set_num_threads(prev);
 }
 
 TEST_F(DiagTest, SnapshotPassesPythonValidator) {

@@ -13,6 +13,7 @@
 
 #include "dist/distributions.h"
 #include "infer/infer.h"
+#include "obs/obs.h"
 #include "par/pool.h"
 
 namespace tx {
@@ -179,6 +180,27 @@ TEST(McmcEquivalence, TwoChainNutsAtOneAndFourThreads) {
     mcmc.run(equiv_model(), &gen);
     expect_nuts_draws(mcmc, threads);
   }
+  par::set_num_threads(prev);
+}
+
+// The accept-prob gauge of a multi-chain run is the chain-ordered mean, not
+// the running mean of whichever chain happened to emit last.
+TEST(McmcEquivalence, TwoChainAcceptGaugeIndependentOfThreads) {
+  const int prev = par::num_threads();
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  for (int threads : {1, 4}) {
+    par::set_num_threads(threads);
+    obs::registry().clear();
+    manual_seed(7);
+    Generator gen(2022);
+    infer::MCMC mcmc(nuts_factory(), kSamples, kWarmup, /*num_chains=*/2);
+    mcmc.run(equiv_model(), &gen);
+    EXPECT_EQ(obs::registry().gauges().at("mcmc.accept_prob"), kNutsMeanAccept)
+        << "threads=" << threads;
+  }
+  obs::registry().clear();
+  obs::set_enabled(was_enabled);
   par::set_num_threads(prev);
 }
 
