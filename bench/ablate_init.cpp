@@ -34,7 +34,7 @@ Outcome run(tyxe::guides::AutoNormalConfig guide_cfg, std::uint64_t seed,
   double elbo = 0.0;
   {
     tyxe::poutine::LocalReparameterization lr;
-    elbo = bnn->fit({{{data.x}, data.y}}, optim, epochs);
+    elbo = -bnn->fit({{{data.x}, data.y}}, optim, epochs).final_loss;
   }
   auto [ll, err] = bnn->evaluate({data.x}, data.y, 16);
   (void)ll;

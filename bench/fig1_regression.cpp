@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   tx::ppl::HandlerScope site_scope(site_tracer);
 
   // --checkpoint-every <K> switches the VI fit onto the fault-tolerant
-  // tx::resil driver: a tx.ckpt.v1 checkpoint (--checkpoint <path>, default
+  // SVI::fit driver: a tx.ckpt.v1 checkpoint (--checkpoint <path>, default
   // fig1.ckpt) every K steps, resumed automatically when the file already
   // exists. A run interrupted mid-fit and re-launched with the same flags
   // produces bitwise-identical output to an uninterrupted one — see
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
     sink.emit(e);
   });
   tx::Generator vi_gen(seed + 2);
-  tx::resil::FitReport ckpt_report;
+  tx::infer::FitReport ckpt_report;
   double vi_seconds = 0.0;
   {
     tx::obs::ScopedTimer span("fig1.vi_fit");
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
       // Resumable runs pin all fit-time sampling to a private generator so
       // the RNG stream is part of the checkpoint (docs/robustness.md).
       bnn->set_generator(&vi_gen);
-      tx::resil::RetryPolicy policy;
+      tx::infer::RetryPolicy policy;
       policy.checkpoint_path = checkpoint_path;
       policy.checkpoint_every = checkpoint_every;
       ckpt_report = bnn->fit({{{data.x}, data.y}}, optim, 2000, policy);

@@ -13,7 +13,7 @@
 #include "obs/prof.h"
 #include "par/par.h"
 #include "ppl/diag.h"
-#include "resil/checkpoint.h"
+#include "resil/io.h"
 
 using tx::Tensor;
 namespace nd = tx::dist;
@@ -184,7 +184,7 @@ BENCHMARK(BM_PredictPosteriorSample);
 // --- tx.ckpt.v1 checkpoint cost: what a RetryPolicy with checkpoint_every=K
 // amortizes over K SVI steps. The fixture is a store of 8 tensors totalling
 // range(0) floats plus an Adam with live moments and a generator — the same
-// three sections fit_svi snapshots.
+// three sections SVI::fit snapshots.
 
 struct CheckpointFixture {
   tx::ppl::ParamStore store;
@@ -204,8 +204,8 @@ struct CheckpointFixture {
 
   tx::resil::Bundle bundle() const {
     tx::resil::Bundle b;
-    b.set("store", tx::resil::param_store_bytes(store));
-    b.set("optim", tx::resil::optimizer_bytes(opt));
+    b.set("store", tx::infer::param_store_bytes(store));
+    b.set("optim", tx::infer::optimizer_bytes(opt));
     b.set("gen", tx::resil::generator_bytes(gen));
     return b;
   }
@@ -230,9 +230,9 @@ void BM_CheckpointLoad(benchmark::State& state) {
   const std::size_t bytes = fx.bundle().serialize().size();
   for (auto _ : state) {
     tx::resil::Bundle b = tx::resil::Bundle::read_file(path);
-    tx::resil::apply_param_store_bytes(b.get("store"), fx.store,
+    tx::infer::apply_param_store_bytes(b.get("store"), fx.store,
                                        /*prune_extra=*/true);
-    tx::resil::apply_optimizer_bytes(b.get("optim"), fx.opt);
+    tx::infer::apply_optimizer_bytes(b.get("optim"), fx.opt);
     tx::resil::apply_generator_bytes(b.get("gen"), fx.gen);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));

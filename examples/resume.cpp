@@ -37,14 +37,14 @@ int main() {
     std::printf("fault plan installed from TYXE_FAULT\n");
   }
 
-  tx::resil::RetryPolicy policy;
+  tx::infer::RetryPolicy policy;
   policy.checkpoint_path = "resume.ckpt";
   policy.checkpoint_every = 200;  // steps between tx.ckpt.v1 snapshots
   policy.max_retries = 3;         // rollbacks per segment before giving up
   policy.lr_decay = 0.5;          // lr multiplier applied on each rollback
 
   auto optim = std::make_shared<tx::infer::Adam>(1e-2);
-  tx::resil::FitReport report = bnn.fit({{{data.x}, data.y}}, optim,
+  tx::infer::FitReport report = bnn.fit({{{data.x}, data.y}}, optim,
                                         /*epochs=*/2000, policy);
 
   std::printf("%s at step %lld/%lld: %lld steps this run, %lld checkpoints, "

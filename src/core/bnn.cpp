@@ -1,6 +1,7 @@
 #include "core/bnn.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "dist/kl.h"
 #include "obs/pq.h"
@@ -79,6 +80,36 @@ void tag_degraded_pq_batch() {
   if (tx::guard::last_predict_status().degraded) {
     tx::obs::pq::record_degraded_batch();
   }
+}
+
+/// The tail every predict shares: stack the draws, touch the heartbeat, and
+/// aggregate them via the likelihood (recording pq telemetry) when asked.
+Tensor finish_predict(const std::vector<Tensor>& draws, Likelihood& likelihood,
+                      bool aggregate) {
+  Tensor stacked = tx::stack(draws, 0);
+  touch_predict_heartbeat();
+  if (!aggregate) return stacked;
+  Tensor aggregated = likelihood.aggregate_predictions(stacked);
+  if (tx::obs::pq::enabled()) {
+    likelihood.record_predictive_quality(stacked, aggregated, nullptr);
+    tag_degraded_pq_batch();
+  }
+  return aggregated;
+}
+
+/// (total predictive log-likelihood, error measure) of stacked predictions
+/// against labelled targets, recording pq telemetry when enabled.
+std::pair<double, double> score_predictions(const Tensor& stacked,
+                                            Likelihood& likelihood,
+                                            const Tensor& targets) {
+  const double ll = likelihood.log_predictive(stacked, targets).item();
+  Tensor aggregated = likelihood.aggregate_predictions(stacked);
+  const double err = likelihood.error(aggregated, targets).item();
+  if (tx::obs::pq::enabled()) {
+    likelihood.record_predictive_quality(stacked, aggregated, &targets);
+    tag_degraded_pq_batch();
+  }
+  return {ll, err};
 }
 
 /// Owner module path of a parameter slot ("" for root-owned parameters).
@@ -232,15 +263,9 @@ std::pair<double, double> SupervisedBNN::evaluate(
     const std::vector<Tensor>& inputs, const Tensor& targets,
     int num_predictions) {
   tx::NoGradGuard ng;
-  Tensor stacked = predict(inputs, num_predictions, /*aggregate=*/false);
-  const double ll = likelihood_->log_predictive(stacked, targets).item();
-  Tensor aggregated = likelihood_->aggregate_predictions(stacked);
-  const double err = likelihood_->error(aggregated, targets).item();
-  if (tx::obs::pq::enabled()) {
-    likelihood_->record_predictive_quality(stacked, aggregated, &targets);
-    tag_degraded_pq_batch();
-  }
-  return {ll, err};
+  return score_predictions(
+      predict(inputs, num_predictions, /*aggregate=*/false), *likelihood_,
+      targets);
 }
 
 VariationalBNN::VariationalBNN(tx::nn::ModulePtr net, PriorPtr prior,
@@ -272,69 +297,64 @@ void VariationalBNN::guide_program() {
   if (likelihood_guide_) (*likelihood_guide_)();
 }
 
-double VariationalBNN::fit(const std::function<std::vector<Batch>()>& data,
-                           std::shared_ptr<tx::infer::Optimizer> optimizer,
-                           int epochs, const FitCallback& callback) {
-  TX_CHECK(optimizer != nullptr, "fit: null optimizer");
-  // One SVI driver for the whole fit; the model program reads the current
-  // batch through these pointers so each step scores fresh data while the
-  // driver keeps its step counter / instrumentation across epochs.
-  const std::vector<Tensor>* cur_inputs = nullptr;
-  const Tensor* cur_targets = nullptr;
-  tx::infer::SVI svi([&] { model(*cur_inputs, *cur_targets); },
-                     [this] { guide_program(); }, std::move(optimizer), elbo_,
-                     &store_, generator_);
-  if (step_callback_) svi.set_step_callback(step_callback_);
-  double mean_elbo = 0.0;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    double epoch_loss = 0.0;
-    std::int64_t batches = 0;
-    for (const auto& [inputs, targets] : data()) {
-      cur_inputs = &inputs;
-      cur_targets = &targets;
-      epoch_loss += svi.step();
-      ++batches;
-    }
-    mean_elbo = -epoch_loss / static_cast<double>(std::max<std::int64_t>(batches, 1));
-    if (callback && callback(epoch, mean_elbo)) break;
-  }
-  return mean_elbo;
-}
-
-double VariationalBNN::fit(const std::vector<Batch>& data,
-                           std::shared_ptr<tx::infer::Optimizer> optimizer,
-                           int epochs, const FitCallback& callback) {
-  return fit([&data] { return data; }, std::move(optimizer), epochs, callback);
-}
-
-tx::resil::FitReport VariationalBNN::fit(
-    const std::vector<Batch>& data,
+tx::infer::FitReport VariationalBNN::run_fit(
+    const std::function<std::vector<Batch>()>& data,
     std::shared_ptr<tx::infer::Optimizer> optimizer, int epochs,
-    const tx::resil::RetryPolicy& policy) {
+    const FitCallback& callback, const tx::infer::RetryPolicy* policy) {
   TX_CHECK(optimizer != nullptr, "fit: null optimizer");
-  TX_CHECK(!data.empty(), "fit: empty batch list");
-  // The batch for each step comes from the step counter, not an external
-  // loop, so a run resumed at step t scores exactly the batch the original
-  // run would have scored at step t.
-  tx::infer::SVI* live = nullptr;
+  // A policy run fixes its batch list up front and picks the batch for each
+  // step from the step counter, not an external loop, so a run resumed at
+  // step t scores exactly the batch the original run would have scored at
+  // step t.
+  std::vector<Batch> schedule;
+  if (policy != nullptr) {
+    schedule = data();
+    TX_CHECK(!schedule.empty(), "fit: empty batch list");
+  }
+  // One SVI driver for the whole fit; the model program scores the batch
+  // `cur` points at, so each step sees fresh data while the driver keeps its
+  // step counter / instrumentation across epochs.
+  const Batch* cur = nullptr;
   tx::infer::SVI svi(
-      [&, live_ptr = &live] {
-        tx::infer::SVI& s = **live_ptr;
-        const Batch& b = data[static_cast<std::size_t>(
-            s.steps_taken() % static_cast<std::int64_t>(data.size()))];
-        model(b.first, b.second);
+      [&] {
+        if (policy != nullptr) {
+          cur = &schedule[static_cast<std::size_t>(
+              svi.steps_taken() % static_cast<std::int64_t>(schedule.size()))];
+        }
+        model(cur->first, cur->second);
       },
       [this] { guide_program(); }, std::move(optimizer), elbo_, &store_,
       generator_);
-  live = &svi;
   if (step_callback_) svi.set_step_callback(step_callback_);
-  // Warm the guide before fit_svi can resume: lazy site discovery during the
-  // first post-resume step would consume restored-generator draws the
-  // original run never made, breaking bitwise resume determinism.
-  guide_program();
-  const std::int64_t steps = static_cast<std::int64_t>(epochs) *
-                             static_cast<std::int64_t>(data.size());
-  return tx::resil::fit_svi(svi, steps, policy);
+
+  if (policy != nullptr) {
+    // Warm the guide before SVI::fit can resume: lazy site discovery during
+    // the first post-resume step would consume restored-generator draws the
+    // original run never made, breaking bitwise resume determinism.
+    guide_program();
+    return svi.fit(static_cast<std::int64_t>(epochs) *
+                       static_cast<std::int64_t>(schedule.size()),
+                   *policy);
+  }
+
+  tx::infer::FitReport report;
+  report.final_loss = std::numeric_limits<double>::quiet_NaN();
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    double epoch_loss = 0.0;
+    std::int64_t batches = 0;
+    for (const Batch& batch : data()) {
+      cur = &batch;
+      report.final_loss = svi.step();
+      epoch_loss += report.final_loss;
+      ++batches;
+    }
+    report.steps_run += batches;
+    const double mean_elbo =
+        -epoch_loss / static_cast<double>(std::max<std::int64_t>(batches, 1));
+    if (callback && callback(epoch, mean_elbo)) break;
+  }
+  report.steps_completed = svi.steps_taken();
+  return report;
 }
 
 Tensor VariationalBNN::predict(const std::vector<Tensor>& inputs,
@@ -347,17 +367,7 @@ Tensor VariationalBNN::predict(const std::vector<Tensor>& inputs,
   // pins down. The likelihood guide (if any) plays no role in the forward.
   std::vector<Tensor> draws = draw_guarded(
       num_predictions, [&] { return guided_forward(inputs).detach(); });
-  Tensor stacked = tx::stack(draws, 0);
-  touch_predict_heartbeat();
-  if (aggregate) {
-    Tensor aggregated = likelihood_->aggregate_predictions(stacked);
-    if (tx::obs::pq::enabled()) {
-      likelihood_->record_predictive_quality(stacked, aggregated, nullptr);
-      tag_degraded_pq_batch();
-    }
-    return aggregated;
-  }
-  return stacked;
+  return finish_predict(draws, *likelihood_, aggregate);
 }
 
 MCMC_BNN::MCMC_BNN(tx::nn::ModulePtr net, PriorPtr prior,
@@ -402,32 +412,16 @@ Tensor MCMC_BNN::predict(const std::vector<Tensor>& inputs,
     tx::ppl::HandlerScope scope(cond);
     return sampled_forward(inputs).detach();
   });
-  Tensor stacked = tx::stack(draws, 0);
-  touch_predict_heartbeat();
-  if (aggregate) {
-    Tensor aggregated = likelihood_->aggregate_predictions(stacked);
-    if (tx::obs::pq::enabled()) {
-      likelihood_->record_predictive_quality(stacked, aggregated, nullptr);
-      tag_degraded_pq_batch();
-    }
-    return aggregated;
-  }
-  return stacked;
+  return finish_predict(draws, *likelihood_, aggregate);
 }
 
 std::pair<double, double> MCMC_BNN::evaluate(const std::vector<Tensor>& inputs,
                                              const Tensor& targets,
                                              int num_predictions) {
   tx::NoGradGuard ng;
-  Tensor stacked = predict(inputs, num_predictions, /*aggregate=*/false);
-  const double ll = likelihood_->log_predictive(stacked, targets).item();
-  Tensor aggregated = likelihood_->aggregate_predictions(stacked);
-  const double err = likelihood_->error(aggregated, targets).item();
-  if (tx::obs::pq::enabled()) {
-    likelihood_->record_predictive_quality(stacked, aggregated, &targets);
-    tag_degraded_pq_batch();
-  }
-  return {ll, err};
+  return score_predictions(
+      predict(inputs, num_predictions, /*aggregate=*/false), *likelihood_,
+      targets);
 }
 
 const tx::infer::MCMC& MCMC_BNN::mcmc() const {

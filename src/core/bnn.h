@@ -10,8 +10,11 @@
 //                           forward plus a cached KL term, trained with an
 //                           ordinary optimizer (the NeRF workflow).
 //   SupervisedBNN         — adds a Likelihood; defines predict/evaluate.
-//   VariationalBNN        — SVI-based fit().
-//   MCMC_BNN              — HMC/NUTS-based fit() over the full dataset.
+//   VariationalBNN        — SVI-based fit(): every form (batch list, batch
+//                           function, RetryPolicy) runs one body and returns
+//                           an infer::FitReport.
+//   MCMC_BNN              — HMC/NUTS-based fit() over the full dataset; its
+//                           predict/evaluate share SupervisedBNN's tails.
 #pragma once
 
 #include <functional>
@@ -22,7 +25,6 @@
 #include "core/priors.h"
 #include "infer/infer.h"
 #include "nn/nn.h"
-#include "resil/resil.h"
 
 namespace tyxe {
 
@@ -166,26 +168,36 @@ class VariationalBNN : public SupervisedBNN {
                  guides::GuideFactory likelihood_guide_factory = nullptr,
                  std::string name = "net");
 
-  /// scikit-learn-style fit: `epochs` passes over the batches returned by
-  /// `data()`, optimizing the ELBO. Returns the last epoch's mean ELBO.
-  double fit(const std::function<std::vector<Batch>()>& data,
-             std::shared_ptr<tx::infer::Optimizer> optimizer, int epochs,
-             const FitCallback& callback = nullptr);
-  /// Convenience overload for a fixed batch list.
-  double fit(const std::vector<Batch>& data,
-             std::shared_ptr<tx::infer::Optimizer> optimizer, int epochs,
-             const FitCallback& callback = nullptr);
-
-  /// Fault-tolerant fit: epochs * data.size() SVI steps under tx::resil —
-  /// periodic tx.ckpt.v1 checkpoints, resume from policy.checkpoint_path,
-  /// and rollback + lr decay on non-finite loss/gradients. The batch for
-  /// each step is chosen from the SVI step counter, so a resumed run replays
-  /// the identical schedule; with set_generator() also set, an interrupted
-  /// and resumed run is bitwise-identical to an uninterrupted one (see
-  /// docs/robustness.md).
-  tx::resil::FitReport fit(const std::vector<Batch>& data,
+  /// scikit-learn-style fit: `epochs` passes over the batches `data()`
+  /// returns at the start of each epoch, optimizing the ELBO; `callback`
+  /// sees each epoch's mean ELBO and may stop early. The report's final_loss
+  /// is the last step's loss, so on a single batch -final_loss is the last
+  /// epoch's mean ELBO.
+  tx::infer::FitReport fit(const std::function<std::vector<Batch>()>& data,
                            std::shared_ptr<tx::infer::Optimizer> optimizer,
-                           int epochs, const tx::resil::RetryPolicy& policy);
+                           int epochs, const FitCallback& callback = nullptr) {
+    return run_fit(data, std::move(optimizer), epochs, callback, nullptr);
+  }
+  /// Convenience overload for a fixed batch list.
+  tx::infer::FitReport fit(const std::vector<Batch>& data,
+                           std::shared_ptr<tx::infer::Optimizer> optimizer,
+                           int epochs, const FitCallback& callback = nullptr) {
+    return run_fit([&data] { return data; }, std::move(optimizer), epochs,
+                   callback, nullptr);
+  }
+  /// Fault-tolerant fit: epochs * data.size() steps of SVI::fit — periodic
+  /// tx.ckpt.v1 checkpoints, resume from policy.checkpoint_path, and
+  /// rollback + lr decay on non-finite loss/gradients. The batch for each
+  /// step is chosen from the SVI step counter, so a resumed run replays the
+  /// identical schedule; with set_generator() also set, an interrupted and
+  /// resumed run is bitwise-identical to an uninterrupted one (see
+  /// docs/robustness.md).
+  tx::infer::FitReport fit(const std::vector<Batch>& data,
+                           std::shared_ptr<tx::infer::Optimizer> optimizer,
+                           int epochs, const tx::infer::RetryPolicy& policy) {
+    return run_fit([&data] { return data; }, std::move(optimizer), epochs,
+                   nullptr, &policy);
+  }
 
   Tensor predict(const std::vector<Tensor>& inputs, int num_predictions = 1,
                  bool aggregate = true) override;
@@ -207,6 +219,15 @@ class VariationalBNN : public SupervisedBNN {
   void guide_program();
 
  private:
+  /// The one body behind every fit form. Without a policy: the plain epoch
+  /// loop (data() at each epoch start, callback at each epoch end). With
+  /// one: warm the guide, then svi.fit(epochs * n, *policy) on step-indexed
+  /// batches.
+  tx::infer::FitReport run_fit(const std::function<std::vector<Batch>()>& data,
+                               std::shared_ptr<tx::infer::Optimizer> optimizer,
+                               int epochs, const FitCallback& callback,
+                               const tx::infer::RetryPolicy* policy);
+
   guides::GuidePtr likelihood_guide_;
   std::shared_ptr<tx::infer::ELBO> elbo_;
   tx::infer::StepCallback step_callback_;

@@ -91,7 +91,6 @@ ImageDataset make_pattern_images(const SyntheticImageConfig& cfg,
 
 ImageDataset make_ood_images(std::int64_t count, std::int64_t channels,
                              std::int64_t size, Generator& gen) {
-  const std::int64_t pixels = channels * size * size;
   Tensor images = zeros({count, channels, size, size});
   for (std::int64_t i = 0; i < count; ++i) {
     // High-frequency checker texture with a random period and phase; a

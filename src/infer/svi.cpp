@@ -1,16 +1,34 @@
 #include "infer/svi.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <sstream>
+#include <thread>
 
 #include "obs/obs.h"
 #include "resil/fault.h"
 #include "resil/guard.h"
+#include "resil/io.h"
 #include "tensor/alloc.h"
+#include "tensor/serialize.h"
+#include "util/textio.h"
 
 namespace tx::infer {
+
+namespace {
+
+void bump(const char* name) {
+  if (obs::enabled()) obs::registry().counter(name).add(1);
+}
+
+void gauge(const char* name, double value) {
+  if (obs::enabled()) obs::registry().gauge(name).set(value);
+}
+
+}  // namespace
 
 SVI::SVI(Program model, Program guide, std::shared_ptr<Optimizer> optimizer,
          std::shared_ptr<ELBO> loss, ppl::ParamStore* store, Generator* gen)
@@ -24,7 +42,9 @@ SVI::SVI(Program model, Program guide, std::shared_ptr<Optimizer> optimizer,
            "SVI: optimizer and loss must be non-null");
 }
 
-double SVI::step() {
+double SVI::step() { return run_step(/*force_grad_norm=*/false).loss; }
+
+SVI::StepResult SVI::run_step(bool force_grad_norm) {
   // Budget checkpoint: an exhausted budget (deadline, step cap, cancel)
   // throws guard::Cancelled before any state is touched, so a cancelled
   // step is always a clean no-op. The stall site lets fault plans wedge the
@@ -32,7 +52,7 @@ double SVI::step() {
   fault::check_stall("svi.step");
   guard::begin_step("svi.step");
 
-  const bool instrument = obs::enabled() || callback_;
+  const bool instrument = force_grad_norm || obs::enabled() || callback_;
   const bool diag_on = obs::diag::enabled();
   const double t0 = instrument ? obs::now_seconds() : 0.0;
 
@@ -100,15 +120,15 @@ double SVI::step() {
       }
     }
   }
-  obs::diag::svi_step_end(loss_value, std::sqrt(total_grad_sq));
+  const double grad_norm = std::sqrt(total_grad_sq);
+  obs::diag::svi_step_end(loss_value, grad_norm);
   obs::prof::on_step();
 
   if (instrument) {
-    const double grad_sq = total_grad_sq;
     SVIStepInfo info;
     info.step = step_index;
     info.loss = loss_value;
-    info.grad_norm = std::sqrt(grad_sq);
+    info.grad_norm = grad_norm;
     info.seconds = obs::now_seconds() - t0;
     if (obs::enabled()) {
       auto& reg = obs::registry();
@@ -127,7 +147,7 @@ double SVI::step() {
     }
     if (callback_) callback_(info);
   }
-  return loss_value;
+  return {loss_value, grad_norm};
 }
 
 double SVI::evaluate_loss() {
@@ -137,6 +157,241 @@ double SVI::evaluate_loss() {
   alloc::StepScope arena_scope;
   return static_cast<double>(
       loss_->differentiable_loss(model_, guide_).item());
+}
+
+resil::Bundle SVI::make_bundle(const StepLR* scheduler) const {
+  resil::Bundle b;
+  std::ostringstream meta;
+  meta << "svi steps " << steps_ << '\n';
+  if (scheduler != nullptr) meta << "sched " << scheduler->count() << '\n';
+  b.set("svi.meta", meta.str());
+  b.set("store", param_store_bytes(*store_));
+  b.set("optim", optimizer_bytes(*optimizer_));
+  if (gen_ != nullptr) b.set("gen", resil::generator_bytes(*gen_));
+  return b;
+}
+
+void SVI::apply_bundle(const resil::Bundle& b, StepLR* scheduler) {
+  // Parse the meta section before mutating anything; the section appliers
+  // each stage-then-swap internally.
+  std::istringstream meta(b.get("svi.meta"));
+  textio::expect_tag(meta, "svi");
+  textio::expect_tag(meta, "steps");
+  const std::int64_t steps = textio::read_int(meta, "svi steps");
+  std::int64_t sched_count = -1;
+  if (scheduler != nullptr) {
+    textio::expect_tag(meta, "sched");
+    sched_count = textio::read_int(meta, "sched count");
+  }
+  // prune_extra: the store must match the bundle exactly — a rolled-back
+  // step may have lazily created (and NaN-poisoned) params the anchor has
+  // never seen, and leaving them in place would defeat the rollback.
+  apply_param_store_bytes(b.get("store"), *store_, /*prune_extra=*/true);
+  apply_optimizer_bytes(b.get("optim"), *optimizer_);
+  if (gen_ != nullptr && b.has("gen")) {
+    resil::apply_generator_bytes(b.get("gen"), *gen_);
+  }
+  steps_ = steps;
+  if (scheduler != nullptr) scheduler->set_count(sched_count);
+}
+
+FitReport SVI::fit(std::int64_t num_steps, const RetryPolicy& policy) {
+  TX_CHECK(num_steps >= 0, "fit: num_steps must be >= 0");
+  TX_CHECK(policy.checkpoint_every >= 1, "fit: checkpoint_every must be >= 1");
+  TX_CHECK(policy.lr_decay > 0.0 && policy.lr_decay <= 1.0,
+           "fit: lr_decay must be in (0, 1]");
+
+  FitReport report;
+  report.final_loss = std::numeric_limits<double>::quiet_NaN();
+  const bool has_file = !policy.checkpoint_path.empty();
+
+  if (has_file && policy.resume && resil::file_exists(policy.checkpoint_path)) {
+    // A real but corrupt checkpoint throws here — silently restarting from
+    // scratch would hide data loss. Crash-mid-write never corrupts the file
+    // (the atomic writer leaves the previous complete version in place).
+    apply_bundle(resil::Bundle::read_file(policy.checkpoint_path),
+                 policy.scheduler);
+    report.resumed = true;
+    bump("resil.svi.resumes");
+  }
+
+  // The current state is the first rollback anchor, so even a failure on the
+  // very first step has somewhere good to return to.
+  resil::Bundle last_good = make_bundle(policy.scheduler);
+  std::int64_t last_good_step = steps_;
+  double anchor_lr = optimizer_->lr();
+
+  // One budget governs the whole fit — steps, retries, and backoff sleeps.
+  // An explicit policy.budget is installed here; otherwise any ambient
+  // guard::BudgetScope the caller opened already covers the loop.
+  std::optional<guard::BudgetScope> budget_scope;
+  if (policy.budget != nullptr) budget_scope.emplace(*policy.budget);
+
+  int consecutive_rollbacks = 0;
+  while (steps_ < num_steps) {
+    if (const guard::Reason stop = guard::poll("svi.fit");
+        stop != guard::Reason::kNone) {
+      // Graceful stop at a step boundary: state is the last completed step.
+      report.cancelled = true;
+      report.failure_reason = guard::reason_name(stop);
+      bump("resil.svi.budget_stops");
+      break;
+    }
+    // Loss AND grad norm gate every step. The loss at step t is computed
+    // before the optimizer applies the gradients, so a finite loss with a
+    // poisoned gradient would otherwise look "good" while the params are
+    // already NaN.
+    StepResult stat;
+    try {
+      stat = run_step(/*force_grad_norm=*/true);
+    } catch (const guard::Cancelled& c) {
+      // Cancellation landed mid-step (a par chunk or the step's own budget
+      // checkpoint): a half-applied step must not leak, so restore the last
+      // good anchor before reporting.
+      apply_bundle(last_good, policy.scheduler);
+      optimizer_->set_lr(anchor_lr);
+      report.cancelled = true;
+      report.failure_reason = guard::reason_name(c.reason());
+      bump("resil.svi.budget_stops");
+      break;
+    }
+    ++report.steps_run;
+    if (policy.scheduler != nullptr) policy.scheduler->step();
+
+    const bool good = std::isfinite(stat.loss) && std::isfinite(stat.grad_norm);
+    if (!good) {
+      ++report.rollbacks;
+      ++consecutive_rollbacks;
+      bump("resil.svi.rollbacks");
+      if (consecutive_rollbacks > policy.max_retries) {
+        // Retry budget for this segment exhausted: leave the process in the
+        // last good state and report, with the diag forensics (which fired
+        // on the same non-finite value) linked for the post-mortem.
+        apply_bundle(last_good, policy.scheduler);
+        optimizer_->set_lr(anchor_lr);
+        report.exhausted = true;
+        report.failure_reason = obs::diag::last_forensic_reason();
+        if (report.failure_reason.empty()) {
+          report.failure_reason = std::isfinite(stat.loss)
+                                      ? "non-finite gradient"
+                                      : "non-finite loss";
+        }
+        bump("resil.svi.retries_exhausted");
+        break;
+      }
+      apply_bundle(last_good, policy.scheduler);
+      const double lr =
+          anchor_lr * std::pow(policy.lr_decay, consecutive_rollbacks);
+      optimizer_->set_lr(lr);
+      gauge("resil.svi.lr", lr);
+      gauge("resil.svi.consecutive_rollbacks",
+            static_cast<double>(consecutive_rollbacks));
+      if (policy.backoff_seconds > 0.0) {
+        double backoff = std::min(
+            policy.backoff_seconds *
+                std::pow(2.0, static_cast<double>(consecutive_rollbacks - 1)),
+            policy.max_backoff_seconds);
+        if (guard::active()) {
+          // Retries respect the overall deadline: never sleep past it. The
+          // loop-top poll then stops the fit instead of retrying.
+          backoff = std::min(backoff, guard::current()->remaining_seconds());
+        }
+        if (backoff > 0.0) {
+          std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+        }
+      }
+      continue;
+    }
+
+    report.final_loss = stat.loss;
+    const bool due = steps_ - last_good_step >= policy.checkpoint_every ||
+                     steps_ >= num_steps;
+    if (due) {
+      last_good = make_bundle(policy.scheduler);
+      last_good_step = steps_;
+      anchor_lr = optimizer_->lr();
+      consecutive_rollbacks = 0;
+      ++report.checkpoints;
+      bump("resil.ckpt.snapshots");
+      if (has_file) {
+        if (last_good.write_file(policy.checkpoint_path)) {
+          bump("resil.ckpt.writes");
+        } else {
+          // Keep going on the in-memory anchor: a failed write must never
+          // take the run down, and the on-disk file is still the previous
+          // complete checkpoint.
+          ++report.checkpoint_failures;
+          bump("resil.ckpt.write_failures");
+        }
+      }
+      gauge("resil.svi.checkpoint_step", static_cast<double>(last_good_step));
+    }
+  }
+
+  report.steps_completed = steps_;
+  gauge("resil.svi.rollbacks_total", static_cast<double>(report.rollbacks));
+  return report;
+}
+
+std::string param_store_bytes(const ppl::ParamStore& store) {
+  std::ostringstream os;
+  const auto items = store.items();
+  os << "params " << items.size() << '\n';
+  for (const auto& [name, t] : items) {
+    os << name << '\n';
+    save_tensor(os, t.detach());
+  }
+  return os.str();
+}
+
+void apply_param_store_bytes(const std::string& bytes, ppl::ParamStore& store,
+                             bool prune_extra) {
+  std::istringstream is(bytes);
+  textio::expect_tag(is, "params");
+  const std::int64_t count = textio::read_int(is, "param count");
+  std::vector<std::pair<std::string, Tensor>> staged;
+  staged.reserve(static_cast<std::size_t>(count));
+  for (std::int64_t i = 0; i < count; ++i) {
+    const std::string name = textio::next_token(is, "param name");
+    staged.emplace_back(name, load_tensor(is));
+  }
+  // Validate shapes against existing entries before the first copy.
+  for (const auto& [name, value] : staged) {
+    if (store.contains(name)) {
+      TX_CHECK(store.get(name).shape() == value.shape(),
+               "tx.ckpt.v1: shape mismatch for param '", name, "'");
+    }
+  }
+  for (auto& [name, value] : staged) {
+    if (store.contains(name)) {
+      store.get(name).copy_(value);  // keep the live handle
+    } else {
+      store.set(name, value);
+    }
+  }
+  if (prune_extra) {
+    for (const auto& [name, _] : store.items()) {
+      bool known = false;
+      for (const auto& [staged_name, __] : staged) {
+        if (staged_name == name) {
+          known = true;
+          break;
+        }
+      }
+      if (!known) store.erase(name);
+    }
+  }
+}
+
+std::string optimizer_bytes(const Optimizer& opt) {
+  std::ostringstream os;
+  opt.save_state(os);
+  return os.str();
+}
+
+void apply_optimizer_bytes(const std::string& bytes, Optimizer& opt) {
+  std::istringstream is(bytes);
+  opt.load_state(is);
 }
 
 }  // namespace tx::infer

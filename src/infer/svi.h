@@ -1,17 +1,90 @@
-// Stochastic variational inference driver (pyro.infer.SVI).
+// Stochastic variational inference driver (pyro.infer.SVI). An optional
+// RetryPolicy turns fit() into the fault-tolerant driver: periodic crash-safe
+// tx.ckpt.v1 checkpoints, rollback + lr decay + retry on a non-finite step,
+// and exact resume from disk. Recovery activity is surfaced as resil.*
+// metrics and, on failure, cross-linked to the tx::obs::diag forensic bundle.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "infer/elbo.h"
 #include "infer/optim.h"
 
+namespace tx::guard {
+class Budget;
+}
 namespace tx::resil {
-struct RetryPolicy;
-struct FitReport;
-}  // namespace tx::resil
+class Bundle;
+}
 
 namespace tx::infer {
+
+/// Controls SVI::fit checkpointing and retry behaviour.
+struct RetryPolicy {
+  /// Checkpoint file ("" = keep the rollback anchor in memory only).
+  std::string checkpoint_path;
+  /// Steps between checkpoints (also the maximum work lost to a rollback).
+  std::int64_t checkpoint_every = 100;
+  /// Consecutive rollbacks tolerated per checkpoint segment before giving
+  /// up; a successful checkpoint resets the budget.
+  int max_retries = 3;
+  /// lr multiplier applied per consecutive rollback (relative to the lr the
+  /// last good checkpoint ran at).
+  double lr_decay = 0.5;
+  /// Capped exponential backoff between retries (0 = no sleep, the default:
+  /// deterministic tests must not depend on wall clock).
+  double backoff_seconds = 0.0;
+  double max_backoff_seconds = 1.0;
+  /// Resume from checkpoint_path when it already exists.
+  bool resume = true;
+  /// Optional LR schedule: stepped after every SVI step and captured in the
+  /// checkpoint so a resumed run continues the decay exactly.
+  StepLR* scheduler = nullptr;
+  /// Optional overall budget (non-owning): fit installs it for the whole
+  /// run, so retries, backoff sleeps, and the steps themselves all respect
+  /// one deadline — backoff is clamped to the remaining budget and an
+  /// exhausted budget stops the fit at the next step boundary (FitReport
+  /// .cancelled). When null, an ambient guard::BudgetScope (if any) governs.
+  guard::Budget* budget = nullptr;
+};
+
+/// What a fit actually did.
+struct FitReport {
+  std::int64_t steps_run = 0;        // steps executed, including retried ones
+  std::int64_t steps_completed = 0;  // svi.steps_taken() at exit
+  double final_loss = 0.0;           // last good loss (NaN if no step ran)
+  bool resumed = false;              // started from an on-disk checkpoint
+  bool exhausted = false;            // retry budget ran out; state = last good
+  std::int64_t rollbacks = 0;
+  std::int64_t checkpoints = 0;          // rollback anchors committed
+  std::int64_t checkpoint_failures = 0;  // failed disk writes (state kept)
+  std::string failure_reason;  // diag forensic reason when exhausted, or the
+                               // guard reason when cancelled ("" otherwise)
+  /// The budget expired or was cancelled: the run stopped early at a step
+  /// boundary (or rolled back to the last good anchor if cancellation
+  /// landed mid-step), with failure_reason naming the guard reason.
+  bool cancelled = false;
+};
+
+// ---- tx.ckpt.v1 section serializers for SVI state --------------------------
+// Every apply_* stages the parsed state completely (throwing tx::Error on
+// corruption) before the first mutation of the live object.
+
+std::string param_store_bytes(const ppl::ParamStore& store);
+/// Existing same-name params keep their handles (values copied through, so
+/// live guides and optimizers see them); new names are created. With
+/// `prune_extra` false, params absent from the bytes are left untouched; with
+/// it true they are erased, so the store afterwards matches the bytes exactly
+/// — what a rollback needs when a failed step lazily created params the
+/// anchor has never seen (the guide re-creates them from the restored RNG
+/// stream, so the replay is still bitwise-exact).
+void apply_param_store_bytes(const std::string& bytes, ppl::ParamStore& store,
+                             bool prune_extra = false);
+
+std::string optimizer_bytes(const Optimizer& opt);
+void apply_optimizer_bytes(const std::string& bytes, Optimizer& opt);
 
 /// Per-step instrumentation record handed to the step callback and mirrored
 /// into the obs registry ("svi.steps", "svi.loss", "svi.grad_norm",
@@ -42,27 +115,29 @@ class SVI {
   /// so seeded evaluations replay exactly.
   double evaluate_loss();
 
-  /// Fault-tolerant driver: runs `num_steps` steps with periodic crash-safe
-  /// checkpoints, rollback + LR decay + retry on non-finite loss/grad, and
-  /// exact resume from an existing checkpoint file. Defined in tx_resil
-  /// (src/resil/svi_fit.cpp); callers must link that target. See
-  /// docs/robustness.md.
-  resil::FitReport fit(std::int64_t num_steps, const resil::RetryPolicy& policy);
+  /// Fault-tolerant driver: runs until steps_taken() reaches `num_steps`,
+  /// with periodic crash-safe checkpoints, rollback + LR decay + retry on
+  /// non-finite loss/grad, and exact resume from an existing checkpoint
+  /// file. See docs/robustness.md.
+  FitReport fit(std::int64_t num_steps, const RetryPolicy& policy);
 
   /// Invoked after every step with loss / grad-norm / timing.
   void set_step_callback(StepCallback cb) { callback_ = std::move(cb); }
-  const StepCallback& step_callback() const { return callback_; }
   void set_generator(Generator* gen) { gen_ = gen; }
 
   std::int64_t steps_taken() const { return steps_; }
-  /// Used by checkpoint resume to restore the step counter exactly.
-  void set_steps_taken(std::int64_t steps) { steps_ = steps; }
-
-  Optimizer& optimizer() { return *optimizer_; }
-  ppl::ParamStore& store() { return *store_; }
-  Generator* generator() { return gen_; }
 
  private:
+  struct StepResult {
+    double loss = 0.0;
+    double grad_norm = 0.0;  // 0 unless instrumented, diagnosed or forced
+  };
+  /// The body of step(); `force_grad_norm` computes the gradient norm even
+  /// with obs, diag and the step callback all off (fit gates on it).
+  StepResult run_step(bool force_grad_norm);
+  resil::Bundle make_bundle(const StepLR* scheduler) const;
+  void apply_bundle(const resil::Bundle& b, StepLR* scheduler);
+
   Program model_, guide_;
   std::shared_ptr<Optimizer> optimizer_;
   std::shared_ptr<ELBO> loss_;

@@ -8,7 +8,7 @@
 // sample — and react in one of two ways:
 //
 //   * passive expiry (deadline reached, a cap consumed) is observed at
-//     *driver* checkpoints: `fit_svi` stops at the step boundary and
+//     *driver* checkpoints: `SVI::fit` stops at the step boundary and
 //     `predict` degrades to the prefix of completed samples (see
 //     DegradedResult). Kernel-level hooks (par chunks) ignore passive
 //     expiry so post-degradation work (aggregating the truncated stack,
@@ -33,8 +33,8 @@
 //
 // This header lives in the tiny tx_fault layer (deps: tx_util only) so the
 // low-level libraries (par, tensor, infer) can poll budgets without a
-// dependency cycle with tx_resil. The watchdog that escalates into this
-// layer lives in obs/watchdog.h.
+// dependency cycle. The watchdog that escalates into this layer lives in
+// obs/watchdog.h.
 #pragma once
 
 #include <atomic>
@@ -217,7 +217,7 @@ inline bool begin_sample(const char* where) {
   return active() && detail::begin_sample_slow(where);
 }
 
-/// Non-throwing exhaustion poll for driver loops (fit_svi).
+/// Non-throwing exhaustion poll for driver loops (SVI::fit).
 Reason poll(const char* where);
 
 // ---- predict degradation status --------------------------------------------

@@ -1,8 +1,7 @@
-// Crash-safe file primitives shared by tx::resil, infer::MCMC and the nn
+// Crash-safe file primitives shared by infer::SVI, infer::MCMC and the nn
 // checkpoint writers: atomic replace (temp file + fsync + rename + directory
 // fsync), the FNV-1a checksum, and the tx.ckpt.v1 bundle container. Lives in
-// tx_fault so the low-level layers (tensor, nn, infer) can use it without
-// depending on tx_resil.
+// tx_fault so the low-level layers (tensor, nn, infer) can all use it.
 //
 // tx.ckpt.v1 bundles are versioned, checksummed containers of named byte
 // sections, written crash-safely (atomic_write_file) and parsed fully before

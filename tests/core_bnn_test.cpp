@@ -152,7 +152,7 @@ TEST(VariationalBNN, MeanFieldElboWorksWithAnalyticKL) {
   auto bnn = make_regression_bnn(gen, 32);
   bnn->set_elbo(std::make_shared<tx::infer::TraceMeanFieldELBO>(1));
   auto optim = std::make_shared<tx::infer::Adam>(1e-2);
-  double elbo = bnn->fit({{{x}, y}}, optim, 100);
+  double elbo = -bnn->fit({{{x}, y}}, optim, 100).final_loss;
   EXPECT_TRUE(std::isfinite(elbo));
   auto [ll, err] = bnn->evaluate({x}, y, 8);
   EXPECT_LT(err, 0.3);
@@ -334,7 +334,7 @@ TEST(VCL, UpdatePriorToPosterior) {
   }
   // Fitting continues seamlessly on "task 2" data.
   auto [x2, y2] = make_regression_data(24, gen);
-  double elbo = bnn->fit({{{x2}, y2}}, optim, 20);
+  double elbo = -bnn->fit({{{x2}, y2}}, optim, 20).final_loss;
   EXPECT_TRUE(std::isfinite(elbo));
 }
 

@@ -15,15 +15,6 @@ namespace nd = tx::dist;
 using tx::Shape;
 using tx::Tensor;
 
-/// Sample w from a registered Gaussian site and apply the functional op the
-/// way a Linear layer would.
-Tensor sample_weight_through(
-    ReparameterizationMessenger& m, const std::shared_ptr<nd::Normal>& wd,
-    const std::string& name = "w") {
-  tx::ppl::HandlerScope scope(m);
-  return tx::ppl::sample(name, wd);
-}
-
 TEST(LocalReparam, OutputMomentsMatchWeightSampling) {
   tx::manual_seed(1);
   auto wd = std::make_shared<nd::Normal>(tx::randn({3, 2}),

@@ -1,6 +1,6 @@
 // Tests for tx::guard (resil/guard.h) and the obs watchdog: budget caps and
 // exhaustion ordering, deterministic clock-skew cancellation, the bitwise
-// prefix-truncation contract of a deadline-degraded predict(), fit_svi budget
+// prefix-truncation contract of a deadline-degraded predict(), SVI::fit budget
 // integration (graceful stop, mid-step rollback, backoff clamping), hard
 // cancellation through tx::par, pq degraded-batch tagging, and the watchdog's
 // forensic-dump / healthz-override / escalation ladder. See docs/robustness.md.
@@ -22,7 +22,6 @@
 #include "par/pool.h"
 #include "resil/fault.h"
 #include "resil/guard.h"
-#include "resil/resil.h"
 
 namespace tyxe {
 namespace {
@@ -275,7 +274,7 @@ TEST_F(GuardTest, DegradedPredictTagsThePqStreamAndBumpsCounters) {
   EXPECT_EQ(dropped.value(), dropped_before + 3);  // 4 asked, 1 delivered
 }
 
-// ---- fit_svi budget integration ---------------------------------------------
+// ---- SVI::fit budget integration --------------------------------------------
 
 struct FitFixture {
   Tensor x, y;
@@ -297,10 +296,10 @@ TEST_F(GuardTest, FitStopsGracefullyAtTheStepCap) {
   FitFixture f;
   guard::Budget budget;
   budget.set_step_cap(5);
-  tx::resil::RetryPolicy policy;
+  tx::infer::RetryPolicy policy;
   policy.checkpoint_every = 2;
   policy.budget = &budget;
-  const tx::resil::FitReport report = f.bnn->fit(f.data, f.optim, 20, policy);
+  const tx::infer::FitReport report = f.bnn->fit(f.data, f.optim, 20, policy);
   EXPECT_TRUE(report.cancelled);
   EXPECT_FALSE(report.exhausted);
   EXPECT_EQ(report.failure_reason, "step-cap");
@@ -313,9 +312,9 @@ TEST_F(GuardTest, FitDeadlineStopsAtAStepBoundary) {
   // exactly two steps complete and the stop is graceful (no rollback).
   fault::ScopedPlan plan("clock-skew=svi.fit@3,ms=7200000");
   guard::Budget budget(1800.0);
-  tx::resil::RetryPolicy policy;
+  tx::infer::RetryPolicy policy;
   policy.budget = &budget;
-  const tx::resil::FitReport report = f.bnn->fit(f.data, f.optim, 20, policy);
+  const tx::infer::FitReport report = f.bnn->fit(f.data, f.optim, 20, policy);
   EXPECT_TRUE(report.cancelled);
   EXPECT_EQ(report.failure_reason, "deadline");
   EXPECT_EQ(report.steps_completed, 2);
@@ -329,10 +328,10 @@ TEST_F(GuardTest, MidStepCancellationRollsBackToTheLastAnchor) {
   // half-applied optimizer state.
   fault::ScopedPlan plan("clock-skew=svi.step@2,ms=7200000");
   guard::Budget budget(1800.0);
-  tx::resil::RetryPolicy policy;
+  tx::infer::RetryPolicy policy;
   policy.checkpoint_every = 1;
   policy.budget = &budget;
-  const tx::resil::FitReport report = f.bnn->fit(f.data, f.optim, 20, policy);
+  const tx::infer::FitReport report = f.bnn->fit(f.data, f.optim, 20, policy);
   EXPECT_TRUE(report.cancelled);
   EXPECT_EQ(report.failure_reason, "deadline");
   EXPECT_EQ(report.steps_completed, 1);
@@ -346,14 +345,14 @@ TEST_F(GuardTest, RetryBackoffIsClampedToTheRemainingDeadline) {
   // unclamped backoff period.
   fault::ScopedPlan plan("nan-grad=@0x1000");
   guard::Budget budget(0.3);
-  tx::resil::RetryPolicy policy;
+  tx::infer::RetryPolicy policy;
   policy.checkpoint_every = 1;
   policy.max_retries = 1000;
   policy.backoff_seconds = 30.0;
   policy.max_backoff_seconds = 30.0;
   policy.budget = &budget;
   const auto t0 = std::chrono::steady_clock::now();
-  const tx::resil::FitReport report = f.bnn->fit(f.data, f.optim, 50, policy);
+  const tx::infer::FitReport report = f.bnn->fit(f.data, f.optim, 50, policy);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -19,7 +19,6 @@
 #include "par/pool.h"
 #include "resil/fault.h"
 #include "resil/io.h"
-#include "resil/resil.h"
 
 namespace tx {
 namespace {
@@ -317,7 +316,7 @@ ConjModel make_model() {
 struct SviRun {
   std::map<std::int64_t, double> losses;
   std::map<std::string, std::vector<float>> params;
-  resil::FitReport report;
+  infer::FitReport report;
 };
 
 /// Runs `total` steps (optionally split at `split` with a full teardown and
@@ -344,7 +343,7 @@ SviRun run_svi(std::int64_t total, std::int64_t split,
     svi.set_step_callback([&out](const infer::SVIStepInfo& info) {
       out.losses[info.step] = info.loss;
     });
-    resil::RetryPolicy policy;
+    infer::RetryPolicy policy;
     policy.checkpoint_path = ckpt_path;
     policy.checkpoint_every = 25;
     policy.scheduler = &sched;
@@ -421,11 +420,11 @@ TEST(SviFit, NanGradRollsBackDecaysLrAndFinishes) {
   infer::SVI svi([model] { model(); }, [guide] { (*guide)(); }, optimizer,
                  std::make_shared<infer::TraceELBO>(1), &store, &gen);
 
-  resil::RetryPolicy policy;
+  infer::RetryPolicy policy;
   policy.checkpoint_every = 10;
   policy.max_retries = 3;
   policy.lr_decay = 0.5;
-  resil::FitReport report = svi.fit(30, policy);
+  infer::FitReport report = svi.fit(30, policy);
 
   EXPECT_FALSE(report.exhausted);
   EXPECT_EQ(report.steps_completed, 30);
@@ -463,10 +462,10 @@ TEST(SviFit, RetriesExhaustedReportsForensicsAndKeepsLastGoodState) {
   infer::SVI svi([model] { model(); }, [guide] { (*guide)(); }, optimizer,
                  std::make_shared<infer::TraceELBO>(1), &store, &gen);
 
-  resil::RetryPolicy policy;
+  infer::RetryPolicy policy;
   policy.checkpoint_every = 10;
   policy.max_retries = 2;
-  resil::FitReport report = svi.fit(30, policy);
+  infer::FitReport report = svi.fit(30, policy);
   obs::diag::set_enabled(false);
 
   EXPECT_TRUE(report.exhausted);
@@ -711,7 +710,7 @@ TEST(ResilMetrics, RecoveryActivityIsCounted) {
   Generator gen(7);
   infer::SVI svi([model] { model(); }, [guide] { (*guide)(); }, optimizer,
                  std::make_shared<infer::TraceELBO>(1), &store, &gen);
-  resil::RetryPolicy policy;
+  infer::RetryPolicy policy;
   policy.checkpoint_path = tmp_path("resil_metrics.ckpt");
   std::remove(policy.checkpoint_path.c_str());
   policy.checkpoint_every = 5;

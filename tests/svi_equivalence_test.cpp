@@ -25,7 +25,7 @@ namespace tyxe {
 namespace {
 
 namespace nd = tx::dist;
-using Policy = tx::resil::RetryPolicy;
+using Policy = tx::infer::RetryPolicy;
 
 /// FNV-1a 64 over a byte range, chained through `h`.
 std::uint64_t fnv1a(const void* data, std::size_t n,
