@@ -5,7 +5,8 @@
 // per-step losses, gradient norms, epoch ELBOs and final parameter bytes
 // captured as hexfloats from the reference driver, bit for bit. Any change to
 // the fit path that perturbs a step — an extra draw, a reordered batch, a
-// different rollback anchor — fails here first.
+// different rollback anchor — fails here first. A ResNet-8 case pins the
+// conv + BatchNorm kernels the same way, through training and predict.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -274,6 +275,58 @@ TEST(SviEquivalence, PolicyFitCheckpointEveryThreeAndResume) {
 
   std::filesystem::remove(full_path);
   std::filesystem::remove(split_path);
+}
+
+// ---- ResNet-8: conv + BatchNorm under local reparameterization -------------
+// manual_seed(14), Generator(11) for images, net and batch order,
+// Generator(12) for fit-time sampling. make_resnet8 at width 4 on 16x16
+// images with BatchNorm hidden (deterministic, batch statistics in train
+// mode); two batches of 32, so the stem's [32, 4, 16, 16] activations cross
+// the parallel axis-sum threshold; two epochs of train-mode SVI under
+// LocalReparameterization, then an eval-mode predict (running statistics)
+// of four samples on eight images. Pins the 4-D broadcasts, the {0, 2, 3}
+// reductions and the permutes of conv and linear.
+const std::vector<double> kResnetLosses = {
+    0x1.74229cp+13, 0x1.7267acp+13, 0x1.6ceec4p+13, 0x1.6b6628p+13};
+const std::uint64_t kResnetParams = 0x006a5ac4b9c96aa5ULL;
+const std::uint64_t kResnetPredict = 0x30eef54eb0b4e7a6ULL;
+
+TEST(SviEquivalence, ResnetBatchNormLocalReparamFitThenPredict) {
+  tx::manual_seed(14);
+  tx::Generator gen(11);
+  tx::data::SyntheticImageConfig cfg;
+  cfg.per_class = 8;  // 80 images: two batches of 32, then eight to predict
+  const auto images = tx::data::make_pattern_images(cfg, gen);
+  const tx::Tensor train_x = tx::slice(images.images, 0, 0, 64);
+  const tx::Tensor train_y = tx::slice(images.labels, 0, 0, 64);
+  const auto batches = tx::data::DataLoader(train_x, train_y, 32).batches(&gen);
+  auto net = tx::nn::make_resnet8(10, 4, 3, &gen);
+  HideExpose hide_bn;
+  hide_bn.hide_module_types = {"BatchNorm2d"};
+  auto bnn = std::make_shared<VariationalBNN>(
+      net,
+      std::make_shared<IIDPrior>(std::make_shared<nd::Normal>(0.0f, 1.0f),
+                                 hide_bn),
+      std::make_shared<Categorical>(64), guides::auto_normal_factory());
+  tx::Generator fit_gen(12);
+  bnn->set_generator(&fit_gen);
+  Record rec;
+  record_steps(*bnn, rec);
+  tx::Tensor probs;
+  {
+    poutine::LocalReparameterization lr;
+    bnn->train();
+    bnn->fit(batches, std::make_shared<tx::infer::Adam>(1e-2), 2);
+    bnn->eval();
+    probs = bnn->predict(tx::slice(images.images, 0, 64, 72), 4);
+  }
+
+  expect_steps(rec, 0, 4);
+  expect_doubles(rec.losses, kResnetLosses, "loss");
+  EXPECT_EQ(param_bytes_hash(bnn->param_store()), kResnetParams);
+  ASSERT_EQ(probs.shape(), (tx::Shape{8, 10}));
+  const std::vector<float> pv = probs.to_vector();
+  EXPECT_EQ(fnv1a(pv.data(), pv.size() * sizeof(float)), kResnetPredict);
 }
 
 }  // namespace

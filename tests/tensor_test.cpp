@@ -1,8 +1,17 @@
-// Unit tests for the tensor library: shapes, broadcasting, op values.
+// Unit tests for the tensor library: shapes, broadcasting, op values, and a
+// bitwise reference for every strided kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <string>
 
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 
 namespace tx {
@@ -322,6 +331,428 @@ TEST(Misc, ToString) {
   Tensor a(Shape{2}, {1.0f, 2.0f});
   EXPECT_NE(to_string(a).find("1"), std::string::npos);
   EXPECT_EQ(to_string(Tensor()), "Tensor(undefined)");
+}
+
+// ---- Bitwise reference: the per-element multi-index walk -------------------
+// Every strided kernel (broadcast binary ops, broadcast_to, permute, fma,
+// gauss_logpdf_sum, axis sum/mean, max/min/argmax) must reproduce bit for bit
+// the plain formulation below: visit every multi-index in row-major order and
+// compute each operand's offset from per-dim strides (0 where it broadcasts).
+// Reductions fold each output cell in ascending input flat order; at
+// kRefParThreshold elements and up (with more than one cell) the axis sum
+// folds each cell over ascending offsets instead, through sum8f when the
+// reduced dims form the dense innermost block. Shapes are seeded and random.
+
+constexpr std::int64_t kRefParThreshold = std::int64_t{1} << 15;
+
+/// Row-major multi-index walk over `shape`: fn(idx, flat).
+template <typename Fn>
+void ref_for_each_index(const Shape& shape, Fn&& fn) {
+  const std::int64_t n = numel_of(shape);
+  std::vector<std::int64_t> idx(shape.size(), 0);
+  for (std::int64_t flat = 0; flat < n; ++flat) {
+    fn(idx, flat);
+    for (std::size_t d = shape.size(); d-- > 0;) {
+      if (++idx[d] < shape[d]) break;
+      idx[d] = 0;
+    }
+  }
+}
+
+std::int64_t ref_offset(const std::vector<std::int64_t>& idx,
+                        const Shape& strides) {
+  std::int64_t off = 0;
+  for (std::size_t d = 0; d < idx.size(); ++d) off += idx[d] * strides[d];
+  return off;
+}
+
+std::string shape_str(const Shape& s) { return "[" + join(s) + "]"; }
+
+void expect_bits(const Tensor& got, const Shape& shape,
+                 const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.shape(), shape) << what;
+  ASSERT_EQ(static_cast<std::size_t>(got.numel()), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+struct RefRng {
+  std::mt19937_64 eng;
+  explicit RefRng(std::uint64_t seed) : eng(seed) {}
+
+  std::int64_t below(std::int64_t n) {  // uniform in [0, n)
+    return static_cast<std::int64_t>(eng() % static_cast<std::uint64_t>(n));
+  }
+  /// Nonzero values of magnitude in [0.25, 2]; `ties` draws from {±0.5,
+  /// ±1, ±1.5} so extremum scans and maximum/minimum see equal elements.
+  Tensor values(const Shape& shape, bool ties = false) {
+    std::vector<float> v(static_cast<std::size_t>(numel_of(shape)));
+    std::uniform_real_distribution<float> u(0.25f, 2.0f);
+    for (auto& x : v) {
+      const float mag = ties ? 0.5f * static_cast<float>(1 + below(3)) : u(eng);
+      x = below(2) == 0 ? mag : -mag;
+    }
+    return Tensor(shape, std::move(v));
+  }
+  Shape shape(std::int64_t rank, std::int64_t max_dim) {
+    Shape s(static_cast<std::size_t>(rank));
+    for (auto& d : s) d = 1 + below(max_dim);
+    return s;
+  }
+  /// A shape that broadcasts to `out`: some leading dims dropped, some dims
+  /// set to 1.
+  Shape operand_of(const Shape& out) {
+    const auto rank = static_cast<std::int64_t>(out.size());
+    const std::int64_t drop = below(3) == 0 ? below(rank + 1) : 0;
+    Shape s(out.begin() + drop, out.end());
+    for (auto& d : s) {
+      if (below(3) == 0) d = 1;
+    }
+    return s;
+  }
+  std::vector<std::int64_t> axes(std::int64_t rank) {  // non-empty subset
+    std::vector<std::int64_t> ax;
+    while (ax.empty()) {
+      for (std::int64_t d = 0; d < rank; ++d) {
+        if (below(2) == 0) ax.push_back(below(2) == 0 ? d : d - rank);
+      }
+    }
+    return ax;
+  }
+};
+
+using ScalarFn = std::function<float(float, float)>;
+
+std::vector<float> ref_binary(const Tensor& a, const Tensor& b,
+                              const ScalarFn& fn, Shape* out_shape) {
+  *out_shape = broadcast_shapes(a.shape(), b.shape());
+  const Shape sa = broadcast_strides(a.shape(), *out_shape);
+  const Shape sb = broadcast_strides(b.shape(), *out_shape);
+  std::vector<float> out(static_cast<std::size_t>(numel_of(*out_shape)));
+  ref_for_each_index(*out_shape, [&](const std::vector<std::int64_t>& idx,
+                                     std::int64_t flat) {
+    out[static_cast<std::size_t>(flat)] =
+        fn(a.data()[ref_offset(idx, sa)], b.data()[ref_offset(idx, sb)]);
+  });
+  return out;
+}
+
+struct RefBinaryOp {
+  const char* name;
+  Tensor (*op)(const Tensor&, const Tensor&);
+  ScalarFn fn;
+};
+
+const std::vector<RefBinaryOp>& ref_binary_ops() {
+  static const std::vector<RefBinaryOp> ops = {
+      {"add", add, [](float x, float y) { return x + y; }},
+      {"sub", sub, [](float x, float y) { return x - y; }},
+      {"mul", mul, [](float x, float y) { return x * y; }},
+      {"div", div, [](float x, float y) { return x / y; }},
+      {"maximum", maximum, [](float x, float y) { return x >= y ? x : y; }},
+      {"minimum", minimum, [](float x, float y) { return x <= y ? x : y; }},
+  };
+  return ops;
+}
+
+void check_binary(const Tensor& a, const Tensor& b) {
+  for (const auto& op : ref_binary_ops()) {
+    Shape shape;
+    const std::vector<float> want = ref_binary(a, b, op.fn, &shape);
+    expect_bits(op.op(a, b), shape, want,
+                std::string(op.name) + " " + shape_str(a.shape()) + " " +
+                    shape_str(b.shape()));
+  }
+}
+
+TEST(StridedReference, BroadcastBinaryOpsMatchIndexWalk) {
+  RefRng rng(101);
+  for (int t = 0; t < 300; ++t) {
+    const Shape out = rng.shape(rng.below(6), 5);
+    const bool ties = t % 4 == 0;
+    check_binary(rng.values(rng.operand_of(out), ties),
+                 rng.values(rng.operand_of(out), ties));
+  }
+  // Scalar operands on either side, and the BatchNorm / bias-add shapes.
+  const Shape big{64, 8, 16, 16};
+  check_binary(rng.values({}), rng.values({3, 1, 4}));
+  check_binary(rng.values({2, 3}), rng.values({}));
+  check_binary(rng.values({1, 1}), rng.values({5, 1, 3}));
+  check_binary(rng.values(big), rng.values({1, 8, 1, 1}));
+  check_binary(rng.values({1, 8, 1, 1}), rng.values(big));
+  check_binary(rng.values({64, 50}), rng.values({50}));
+  check_binary(rng.values({64, 1}), rng.values({1, 50}));
+}
+
+TEST(StridedReference, BroadcastToMatchesIndexWalk) {
+  RefRng rng(102);
+  for (int t = 0; t < 200; ++t) {
+    const Shape target = rng.shape(rng.below(6), 5);
+    const Tensor a = rng.values(rng.operand_of(target));
+    const Shape strides = broadcast_strides(a.shape(), target);
+    std::vector<float> want(static_cast<std::size_t>(numel_of(target)));
+    ref_for_each_index(target, [&](const std::vector<std::int64_t>& idx,
+                                   std::int64_t flat) {
+      want[static_cast<std::size_t>(flat)] = a.data()[ref_offset(idx, strides)];
+    });
+    expect_bits(broadcast_to(a, target), target, want,
+                "broadcast_to " + shape_str(a.shape()) + " -> " +
+                    shape_str(target));
+  }
+}
+
+TEST(StridedReference, PermuteMatchesIndexWalk) {
+  RefRng rng(103);
+  for (int t = 0; t < 200; ++t) {
+    const std::int64_t rank = rng.below(7);
+    const Tensor a = rng.values(rng.shape(rank, 5));
+    std::vector<std::int64_t> dims(static_cast<std::size_t>(rank));
+    std::iota(dims.begin(), dims.end(), 0);
+    std::shuffle(dims.begin(), dims.end(), rng.eng);
+    const Shape in_strides = contiguous_strides(a.shape());
+    Shape out_shape, src_strides;
+    for (auto d : dims) {
+      out_shape.push_back(a.shape()[static_cast<std::size_t>(d)]);
+      src_strides.push_back(in_strides[static_cast<std::size_t>(d)]);
+    }
+    std::vector<float> want(static_cast<std::size_t>(a.numel()));
+    ref_for_each_index(out_shape, [&](const std::vector<std::int64_t>& idx,
+                                      std::int64_t flat) {
+      want[static_cast<std::size_t>(flat)] =
+          a.data()[ref_offset(idx, src_strides)];
+    });
+    expect_bits(permute(a, dims), out_shape, want,
+                "permute " + shape_str(a.shape()) + " by " + shape_str(dims));
+  }
+  const Tensor w = rng.values({64, 784});
+  std::vector<float> want(static_cast<std::size_t>(w.numel()));
+  for (std::int64_t i = 0; i < 784; ++i) {
+    for (std::int64_t j = 0; j < 64; ++j) {
+      want[static_cast<std::size_t>(i * 64 + j)] = w.data()[j * 784 + i];
+    }
+  }
+  expect_bits(transpose(w, 0, 1), Shape{784, 64}, want, "transpose 64x784");
+}
+
+TEST(StridedReference, FusedBroadcastsMatchIndexWalk) {
+  RefRng rng(104);
+  for (int t = 0; t < 150; ++t) {
+    const Shape out = rng.shape(rng.below(6), 5);
+    const Tensor a = rng.values(rng.operand_of(out));
+    const Tensor b = rng.values(rng.operand_of(out));
+    const Tensor c = rng.values(rng.operand_of(out));
+    const Shape shape =
+        broadcast_shapes(broadcast_shapes(a.shape(), b.shape()), c.shape());
+    const Shape sa = broadcast_strides(a.shape(), shape);
+    const Shape sb = broadcast_strides(b.shape(), shape);
+    const Shape sc = broadcast_strides(c.shape(), shape);
+    std::vector<float> want(static_cast<std::size_t>(numel_of(shape)));
+    ref_for_each_index(shape, [&](const std::vector<std::int64_t>& idx,
+                                  std::int64_t flat) {
+      want[static_cast<std::size_t>(flat)] =
+          a.data()[ref_offset(idx, sa)] * b.data()[ref_offset(idx, sb)] +
+          c.data()[ref_offset(idx, sc)];
+    });
+    expect_bits(fma(a, b, c), shape, want,
+                "fma " + shape_str(a.shape()) + " " + shape_str(b.shape()) +
+                    " " + shape_str(c.shape()));
+
+    // gauss_logpdf_sum: loc and scale broadcast to the value's shape.
+    const Tensor v = rng.values(out);
+    const Tensor loc = rng.values(rng.operand_of(out));
+    const Tensor scale = abs(rng.values(rng.operand_of(out)));
+    const Shape ls = broadcast_strides(loc.shape(), out);
+    const Shape ss = broadcast_strides(scale.shape(), out);
+    constexpr float kLogSqrt2Pi = 0.9189385332046727f;
+    std::vector<float> lp(static_cast<std::size_t>(v.numel()));
+    ref_for_each_index(out, [&](const std::vector<std::int64_t>& idx,
+                                std::int64_t flat) {
+      const float s = scale.data()[ref_offset(idx, ss)];
+      const float z = (v.data()[flat] - loc.data()[ref_offset(idx, ls)]) / s;
+      lp[static_cast<std::size_t>(flat)] =
+          -0.5f * (z * z) - std::log(s) - kLogSqrt2Pi;
+    });
+    const std::vector<float> want_lp = {
+        static_cast<float>(simd::sum8(lp.data(), v.numel()))};
+    expect_bits(gauss_logpdf_sum(v, loc, scale), Shape{}, want_lp,
+                "gauss_logpdf_sum " + shape_str(out) + " " +
+                    shape_str(loc.shape()) + " " + shape_str(scale.shape()));
+  }
+}
+
+/// Keepdim axis sum by the reference rules (see the section comment).
+std::vector<float> ref_sum_axes(const Tensor& a,
+                                const std::vector<std::int64_t>& axes,
+                                Shape* keep) {
+  const Shape& shape = a.shape();
+  const auto rank = static_cast<std::int64_t>(shape.size());
+  std::vector<bool> reduce(shape.size(), false);
+  for (auto ax : axes) {
+    reduce[static_cast<std::size_t>(normalize_axis(ax, rank))] = true;
+  }
+  *keep = shape;
+  for (std::size_t d = 0; d < shape.size(); ++d) {
+    if (reduce[d]) (*keep)[d] = 1;
+  }
+  const Shape in_strides = contiguous_strides(shape);
+  Shape keep_strides = contiguous_strides(*keep);
+  for (std::size_t d = 0; d < shape.size(); ++d) {
+    if (reduce[d]) keep_strides[d] = 0;
+  }
+  const std::int64_t out_n = numel_of(*keep);
+  std::vector<float> out(static_cast<std::size_t>(out_n), 0.0f);
+  const float* pa = a.data();
+  if (a.numel() >= kRefParThreshold && out_n > 1) {
+    Shape red_shape, red_strides;
+    for (std::size_t d = 0; d < shape.size(); ++d) {
+      if (reduce[d]) {
+        red_shape.push_back(shape[d]);
+        red_strides.push_back(in_strides[d]);
+      }
+    }
+    std::vector<std::int64_t> offsets;
+    ref_for_each_index(red_shape, [&](const std::vector<std::int64_t>& idx,
+                                      std::int64_t) {
+      offsets.push_back(ref_offset(idx, red_strides));
+    });
+    const auto r = static_cast<std::int64_t>(offsets.size());
+    const bool dense = !offsets.empty() && offsets.back() == r - 1;
+    Shape base_strides = in_strides;
+    for (std::size_t d = 0; d < shape.size(); ++d) {
+      if (reduce[d]) base_strides[d] = 0;
+    }
+    ref_for_each_index(*keep, [&](const std::vector<std::int64_t>& idx,
+                                  std::int64_t flat) {
+      const std::int64_t base = ref_offset(idx, base_strides);
+      float acc = 0.0f;
+      if (dense) {
+        acc = simd::sum8f(pa + base, r);
+      } else {
+        for (auto off : offsets) acc += pa[base + off];
+      }
+      out[static_cast<std::size_t>(flat)] = acc;
+    });
+  } else {
+    ref_for_each_index(shape, [&](const std::vector<std::int64_t>& idx,
+                                  std::int64_t flat) {
+      out[static_cast<std::size_t>(ref_offset(idx, keep_strides))] += pa[flat];
+    });
+  }
+  return out;
+}
+
+void check_sum_mean(const Tensor& a, const std::vector<std::int64_t>& axes) {
+  Shape keep;
+  const std::vector<float> sums = ref_sum_axes(a, axes, &keep);
+  const float scale = static_cast<float>(sums.size()) /
+                      static_cast<float>(a.numel());
+  std::vector<float> means(sums.size());
+  for (std::size_t i = 0; i < sums.size(); ++i) means[i] = sums[i] * scale;
+  const Shape flat = reduced_shape(a.shape(), axes, false);
+  const std::string what =
+      shape_str(a.shape()) + " over " + shape_str(axes);
+  expect_bits(sum(a, axes, true), keep, sums, "sum keepdim " + what);
+  expect_bits(sum(a, axes, false), flat, sums, "sum " + what);
+  expect_bits(mean(a, axes, true), keep, means, "mean keepdim " + what);
+  expect_bits(mean(a, axes, false), flat, means, "mean " + what);
+}
+
+TEST(StridedReference, AxisSumMeanMatchIndexWalk) {
+  RefRng rng(105);
+  for (int t = 0; t < 200; ++t) {  // below the parallel threshold
+    const std::int64_t rank = 1 + rng.below(5);
+    const Tensor a = rng.values(rng.shape(rank, 6));
+    check_sum_mean(a, rng.axes(rank));
+  }
+  const std::vector<std::int64_t> sizes = {1, 2, 3, 8, 16, 33, 40};
+  for (int t = 0; t < 40; ++t) {  // at and above it
+    const std::int64_t rank = 2 + rng.below(4);
+    Shape shape(static_cast<std::size_t>(rank), 1);
+    while (numel_of(shape) < kRefParThreshold) {
+      auto& d = shape[static_cast<std::size_t>(rng.below(rank))];
+      d *= sizes[static_cast<std::size_t>(rng.below(7))];
+      if (d > 512) d = 512;
+    }
+    check_sum_mean(rng.values(shape), rng.axes(rank));
+  }
+  const Tensor bn = rng.values({64, 8, 16, 16});
+  for (const auto& axes : std::vector<std::vector<std::int64_t>>{
+           {0, 2, 3}, {1, 2, 3}, {0}, {3}, {2, 3}, {0, 1}, {0, 1, 2, 3}}) {
+    check_sum_mean(bn, axes);
+  }
+  check_sum_mean(rng.values({64, 50}), {0});
+  check_sum_mean(rng.values({8, 1, 4096}), {1});
+  check_sum_mean(rng.values({4096, 8, 1}), {0, 2});
+  // Ranks past five, on both sides of the threshold.
+  check_sum_mean(rng.values({2, 3, 4, 5, 6, 7}), {1, 3, 5});
+  check_sum_mean(rng.values({2, 3, 4, 5, 6, 7, 8}), {0, 2, 6});
+  check_sum_mean(rng.values({2, 3, 4, 5, 6, 7, 8}), {5, 6});
+}
+
+void check_extremum(const Tensor& a, std::int64_t axis) {
+  const Shape& shape = a.shape();
+  const auto rank = static_cast<std::int64_t>(shape.size());
+  const std::int64_t ax = normalize_axis(axis, rank);
+  Shape keep = shape;
+  keep[static_cast<std::size_t>(ax)] = 1;
+  Shape keep_strides = contiguous_strides(keep);
+  keep_strides[static_cast<std::size_t>(ax)] = 0;
+  const auto out_n = static_cast<std::size_t>(numel_of(keep));
+  const float* pa = a.data();
+  const Shape flat_shape = reduced_shape(shape, {axis}, false);
+  const std::string what = shape_str(shape) + " axis " + std::to_string(axis);
+  for (const float sign : {1.0f, -1.0f}) {
+    std::vector<float> best(out_n, -std::numeric_limits<float>::infinity());
+    std::vector<std::int64_t> arg(out_n, -1);
+    ref_for_each_index(shape, [&](const std::vector<std::int64_t>& idx,
+                                  std::int64_t flat) {
+      const auto o = static_cast<std::size_t>(ref_offset(idx, keep_strides));
+      const float v = sign * pa[flat];
+      if (v > best[o]) {
+        best[o] = v;
+        arg[o] = flat;
+      }
+    });
+    for (auto& v : best) v *= sign;
+    std::vector<float> grad(static_cast<std::size_t>(a.numel()), 0.0f);
+    for (auto i : arg) grad[static_cast<std::size_t>(i)] += 1.0f;
+    Tensor x = a.detach();
+    x.set_requires_grad(true);
+    const Tensor m = sign > 0 ? max(x, axis, true) : min(x, axis, true);
+    const std::string name = sign > 0 ? "max " : "min ";
+    expect_bits(m, keep, best, name + "keepdim " + what);
+    expect_bits(sign > 0 ? max(a, axis) : min(a, axis), flat_shape, best,
+                name + what);
+    sum(m).backward();
+    expect_bits(x.grad(), shape, grad, name + "grad " + what);
+  }
+  const std::int64_t ax_stride =
+      contiguous_strides(shape)[static_cast<std::size_t>(ax)];
+  const std::int64_t ax_len = shape[static_cast<std::size_t>(ax)];
+  std::vector<float> best(out_n, -std::numeric_limits<float>::infinity());
+  std::vector<float> arg(out_n, 0.0f);
+  ref_for_each_index(shape, [&](const std::vector<std::int64_t>& idx,
+                                std::int64_t flat) {
+    const auto o = static_cast<std::size_t>(ref_offset(idx, keep_strides));
+    if (pa[flat] > best[o]) {
+      best[o] = pa[flat];
+      arg[o] = static_cast<float>((flat / ax_stride) % ax_len);
+    }
+  });
+  expect_bits(argmax(a, axis), flat_shape, arg, "argmax " + what);
+}
+
+TEST(StridedReference, ExtremaMatchIndexWalkWithTies) {
+  RefRng rng(106);
+  for (int t = 0; t < 200; ++t) {
+    const std::int64_t rank = 1 + rng.below(5);
+    const Tensor a = rng.values(rng.shape(rank, 6), /*ties=*/t % 2 == 0);
+    const std::int64_t axis = rng.below(rank);
+    check_extremum(a, rng.below(2) == 0 ? axis : axis - rank);
+  }
+  check_extremum(rng.values({64, 10}, true), 1);
+  check_extremum(rng.values({2, 3, 4, 5, 6, 7}, true), 3);
 }
 
 }  // namespace
