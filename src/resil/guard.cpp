@@ -9,7 +9,7 @@
 namespace tx::guard {
 
 namespace detail {
-thread_local Budget* t_current = nullptr;
+constinit thread_local Budget* t_current = nullptr;
 
 Budget* install(Budget* b) {
   Budget* prev = t_current;

@@ -158,7 +158,7 @@ struct DegradedResult {
 };
 
 namespace detail {
-extern thread_local Budget* t_current;
+extern constinit thread_local Budget* t_current;
 /// Swap the calling thread's installed budget; returns the previous one.
 /// Exposed for tx::par's context propagation into workers.
 Budget* install(Budget* b);
