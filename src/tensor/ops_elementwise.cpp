@@ -6,8 +6,10 @@
 // of its inputs and the simd kernels are lane-independent mirrors of the
 // scalar arithmetic, so results are bitwise-identical at every
 // TYXE_NUM_THREADS and every TYXE_SIMD level. The generic broadcast path
-// stays sequential and scalar; a scalar-operand fast path covers the
-// ubiquitous tensor-op-scalar case without per-element index arithmetic.
+// stays sequential: it walks the output in runs (for_each_run in
+// tensor/shape.h) with tight loops for dense spans against dense spans (the
+// simd kernel), or against one broadcast value; a scalar-operand fast path
+// covers the ubiquitous tensor-op-scalar case without building strides.
 //
 // Output buffers come from tx::alloc (recycled within inference steps) and
 // are moved straight into the result tensor — one allocation per op.
@@ -86,15 +88,28 @@ BinaryResult broadcast_binary_buffer(const Tensor& a, const Tensor& b, Fn fn,
   } else {
     const Shape sa = broadcast_strides(a.shape(), out_shape);
     const Shape sb = broadcast_strides(b.shape(), out_shape);
-    const std::size_t rank = out_shape.size();
-    for_each_index(out_shape, [&](const std::vector<std::int64_t>& idx,
-                                  std::int64_t flat) {
-      std::int64_t oa = 0, ob = 0;
-      for (std::size_t d = 0; d < rank; ++d) {
-        oa += idx[d] * sa[d];
-        ob += idx[d] * sb[d];
+    for_each_run<2>(out_shape, {&sa, &sb}, [&](const Run<2>& r) {
+      const float* ra = pa + r.start[0];
+      const float* rb = pb + r.start[1];
+      float* ro = po + r.flat;
+      const std::int64_t ia = r.inner[0], ib = r.inner[1];
+      if (ia == 1 && ib == 1) {
+        if (vk) {
+          vk(ra, rb, ro, r.len);
+        } else {
+          for (std::int64_t j = 0; j < r.len; ++j) ro[j] = fn(ra[j], rb[j]);
+        }
+      } else if (ia == 1 && ib == 0) {
+        const float bv = *rb;
+        for (std::int64_t j = 0; j < r.len; ++j) ro[j] = fn(ra[j], bv);
+      } else if (ia == 0 && ib == 1) {
+        const float av = *ra;
+        for (std::int64_t j = 0; j < r.len; ++j) ro[j] = fn(av, rb[j]);
+      } else {
+        for (std::int64_t j = 0; j < r.len; ++j) {
+          ro[j] = fn(ra[j * ia], rb[j * ib]);
+        }
       }
-      po[flat] = fn(pa[oa], pb[ob]);
     });
   }
   return {out_shape, std::move(out)};

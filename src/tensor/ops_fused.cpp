@@ -65,15 +65,19 @@ Tensor fma(const Tensor& a, const Tensor& b, const Tensor& c) {
     const Shape as = broadcast_strides(a.shape(), out_shape);
     const Shape bs = broadcast_strides(b.shape(), out_shape);
     const Shape cs = broadcast_strides(c.shape(), out_shape);
-    for_each_index(out_shape, [&](const std::vector<std::int64_t>& idx,
-                                  std::int64_t flat) {
-      std::int64_t ao = 0, bo = 0, co = 0;
-      for (std::size_t d = 0; d < out_shape.size(); ++d) {
-        ao += idx[d] * as[d];
-        bo += idx[d] * bs[d];
-        co += idx[d] * cs[d];
+    for_each_run<3>(out_shape, {&as, &bs, &cs}, [&](const Run<3>& r) {
+      const float* ra = pa + r.start[0];
+      const float* rb = pb + r.start[1];
+      const float* rc = pc + r.start[2];
+      float* ro = po + r.flat;
+      const std::int64_t ia = r.inner[0], ib = r.inner[1], ic = r.inner[2];
+      if (ia == 1 && ib == 1 && ic == 1) {
+        simd::mul_add_n(ra, rb, rc, ro, r.len);
+      } else {
+        for (std::int64_t j = 0; j < r.len; ++j) {
+          ro[j] = ra[j * ia] * rb[j * ib] + rc[j * ic];
+        }
       }
-      po[flat] = pa[ao] * pb[bo] + pc[co];
     });
   }
   const Shape a_shape = a.shape(), b_shape = b.shape(), c_shape = c.shape();
@@ -144,17 +148,20 @@ Tensor gauss_logpdf_sum(const Tensor& value, const Tensor& loc,
     } else {
       const Shape ls = broadcast_strides(loc.shape(), vshape);
       const Shape ss = broadcast_strides(scale.shape(), vshape);
-      for_each_index(vshape, [&](const std::vector<std::int64_t>& idx,
-                                 std::int64_t flat) {
-        std::int64_t lo = 0, so = 0;
-        for (std::size_t d = 0; d < vshape.size(); ++d) {
-          lo += idx[d] * ls[d];
-          so += idx[d] * ss[d];
+      for_each_run<2>(vshape, {&ls, &ss}, [&](const Run<2>& r) {
+        const float* rl = pl + r.start[0];
+        const float* rs = ps + r.start[1];
+        const std::int64_t il = r.inner[0], is = r.inner[1];
+        // A broadcast scale takes its log once per run: the same value.
+        const float log_s0 = is == 0 ? std::log(*rs) : 0.0f;
+        for (std::int64_t j = 0; j < r.len; ++j) {
+          const auto i = static_cast<std::size_t>(r.flat + j);
+          const float sj = rs[j * is];
+          const float z = (pv[i] - rl[j * il]) / sj;
+          zb[i] = z;
+          lp[i] = -0.5f * (z * z) - (is == 0 ? log_s0 : std::log(sj)) -
+                  kLogSqrt2Pi;
         }
-        const float z = (pv[flat] - pl[lo]) / ps[so];
-        zb[static_cast<std::size_t>(flat)] = z;
-        lp[static_cast<std::size_t>(flat)] =
-            -0.5f * (z * z) - std::log(ps[so]) - kLogSqrt2Pi;
       });
     }
     s = simd::sum8(lp.data(), n);

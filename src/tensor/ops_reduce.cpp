@@ -7,7 +7,10 @@
 // so results are bitwise-identical at every TYXE_NUM_THREADS and TYXE_SIMD.
 // The full sum uses the canonical 8-lane double reduction (tx::simd::sum8);
 // contiguous-innermost axis cells use the canonical float reduction (sum8f).
-// Extremum scans and cumsum are order-sensitive and stay sequential scalar.
+// Below the threshold, axis sums and the extremum scans walk the input in
+// runs (for_each_run) in flat order, so each cell folds its inputs in
+// ascending flat order. Extremum scans and cumsum are order-sensitive and
+// stay sequential scalar.
 #include <algorithm>
 #include <cmath>
 
@@ -26,36 +29,13 @@ namespace {
 /// Elements above which an axis reduction fans out.
 constexpr std::int64_t kReduceParThreshold = std::int64_t{1} << 15;
 
-/// Maps every flat input index to its flat output index for a keepdim
-/// reduction over `axes`.
-struct ReducePlan {
-  Shape keep_shape;               // input shape with reduced dims set to 1
-  std::vector<std::int64_t> map;  // input flat -> output flat
-};
-
-ReducePlan make_reduce_plan(const Shape& in_shape,
-                            const std::vector<std::int64_t>& axes) {
+/// `in_shape` with every dim in `axes` set to 1: the keepdim result shape.
+Shape keep_shape_of(const Shape& in_shape,
+                    const std::vector<std::int64_t>& axes) {
   const auto rank = static_cast<std::int64_t>(in_shape.size());
-  std::vector<bool> reduce(in_shape.size(), false);
-  for (auto ax : axes) {
-    reduce[static_cast<std::size_t>(normalize_axis(ax, rank))] = true;
-  }
-  ReducePlan plan;
-  plan.keep_shape = in_shape;
-  for (std::size_t i = 0; i < in_shape.size(); ++i) {
-    if (reduce[i]) plan.keep_shape[i] = 1;
-  }
-  const Shape out_strides = contiguous_strides(plan.keep_shape);
-  plan.map.resize(static_cast<std::size_t>(numel_of(in_shape)));
-  for_each_index(in_shape, [&](const std::vector<std::int64_t>& idx,
-                               std::int64_t flat) {
-    std::int64_t out = 0;
-    for (std::size_t d = 0; d < in_shape.size(); ++d) {
-      if (!reduce[d]) out += idx[d] * out_strides[d];
-    }
-    plan.map[static_cast<std::size_t>(flat)] = out;
-  });
-  return plan;
+  Shape keep = in_shape;
+  for (auto ax : axes) keep[static_cast<std::size_t>(normalize_axis(ax, rank))] = 1;
+  return keep;
 }
 
 }  // namespace
@@ -73,8 +53,8 @@ Tensor sum(const Tensor& a) {
 Tensor sum(const Tensor& a, const std::vector<std::int64_t>& axes,
            bool keepdim) {
   TX_CHECK(!axes.empty(), "sum: empty axis list (use sum(a) for full sum)");
-  const ReducePlan plan = make_reduce_plan(a.shape(), axes);
-  const std::int64_t out_n = numel_of(plan.keep_shape);
+  const Shape keep_shape = keep_shape_of(a.shape(), axes);
+  const std::int64_t out_n = numel_of(keep_shape);
   std::vector<float> out = alloc::buffer(out_n);
   const float* pa = a.data();
   const std::int64_t n = a.numel();
@@ -90,40 +70,29 @@ Tensor sum(const Tensor& a, const std::vector<std::int64_t>& axes,
     // ascending offset order equals ascending input flat order, so folding
     // each cell over ascending offsets reproduces the sequential loop's
     // per-cell accumulation order bitwise.
-    const auto rank = static_cast<std::int64_t>(a.shape().size());
-    std::vector<bool> reduce(a.shape().size(), false);
-    for (auto ax : axes) {
-      reduce[static_cast<std::size_t>(normalize_axis(ax, rank))] = true;
-    }
+    // The reduced dims alone: the others go to extent 1, which the walk
+    // drops. Row-major enumeration over them yields strictly ascending flat
+    // offsets (mixed-radix carry argument).
     const Shape in_strides = contiguous_strides(a.shape());
-    Shape red_shape;        // reduced dims only, original order
-    Shape red_strides;      // their input strides
-    for (std::size_t d = 0; d < a.shape().size(); ++d) {
-      if (reduce[d]) {
-        red_shape.push_back(a.shape()[d]);
-        red_strides.push_back(in_strides[d]);
-      }
+    Shape red_shape = a.shape();
+    for (std::size_t d = 0; d < red_shape.size(); ++d) {
+      if (keep_shape[d] != 1) red_shape[d] = 1;
     }
-    // Lexicographic enumeration over the reduced dims yields strictly
-    // ascending flat offsets (mixed-radix carry argument).
     std::vector<std::int64_t> offsets;
     offsets.reserve(static_cast<std::size_t>(numel_of(red_shape)));
-    for_each_index(red_shape, [&](const std::vector<std::int64_t>& idx,
-                                  std::int64_t) {
-      std::int64_t off = 0;
-      for (std::size_t d = 0; d < red_shape.size(); ++d) {
-        off += idx[d] * red_strides[d];
+    for_each_run<1>(red_shape, {&in_strides}, [&](const Run<1>& run) {
+      for (std::int64_t j = 0; j < run.len; ++j) {
+        offsets.push_back(run.start[0] + j * run.inner[0]);
       }
-      offsets.push_back(off);
     });
+    // A cell's base is its input offset with the reduced coordinates at 0;
+    // those dims have extent 1 in keep_shape, so the input strides serve.
     std::vector<std::int64_t> bases(static_cast<std::size_t>(out_n));
-    for_each_index(plan.keep_shape, [&](const std::vector<std::int64_t>& idx,
-                                        std::int64_t flat) {
-      std::int64_t base = 0;
-      for (std::size_t d = 0; d < plan.keep_shape.size(); ++d) {
-        if (!reduce[d]) base += idx[d] * in_strides[d];
+    for_each_run<1>(keep_shape, {&in_strides}, [&](const Run<1>& run) {
+      for (std::int64_t j = 0; j < run.len; ++j) {
+        bases[static_cast<std::size_t>(run.flat + j)] =
+            run.start[0] + j * run.inner[0];
       }
-      bases[static_cast<std::size_t>(flat)] = base;
     });
     const auto r = static_cast<std::int64_t>(offsets.size());
     const std::int64_t grain = std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, r));
@@ -149,14 +118,28 @@ Tensor sum(const Tensor& a, const std::vector<std::int64_t>& axes,
       }
     });
   } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      out[static_cast<std::size_t>(plan.map[static_cast<std::size_t>(i)])] += pa[i];
-    }
+    // Walk the input in flat order, so every cell folds its inputs in
+    // ascending flat order, starting from the buffer's zero. A run whose
+    // cell stride is 0 lies in one cell and folds in a register.
+    const Shape cell_strides = broadcast_strides(keep_shape, a.shape());
+    float* po = out.data();
+    for_each_run<1>(a.shape(), {&cell_strides}, [&](const Run<1>& run) {
+      const float* src = pa + run.flat;
+      float* cell = po + run.start[0];
+      if (run.inner[0] == 0) {
+        float acc = *cell;
+        for (std::int64_t j = 0; j < run.len; ++j) acc += src[j];
+        *cell = acc;
+      } else {
+        for (std::int64_t j = 0; j < run.len; ++j) {
+          cell[j * run.inner[0]] += src[j];
+        }
+      }
+    });
   }
   const Shape final_shape =
-      keepdim ? plan.keep_shape : reduced_shape(a.shape(), axes, false);
+      keepdim ? keep_shape : reduced_shape(a.shape(), axes, false);
   const Shape in_shape = a.shape();
-  const Shape keep_shape = plan.keep_shape;
   return make_tensor_from_op(
       "sum_axes", final_shape, std::move(out), {a},
       [in_shape, keep_shape](const Tensor& g) {
@@ -185,23 +168,27 @@ Tensor extremum(const Tensor& a, std::int64_t axis, bool keepdim, float sign,
                 const char* name) {
   const auto rank = static_cast<std::int64_t>(a.shape().size());
   axis = normalize_axis(axis, rank);
-  const ReducePlan plan = make_reduce_plan(a.shape(), {axis});
-  const std::int64_t out_n = numel_of(plan.keep_shape);
+  const Shape keep_shape = keep_shape_of(a.shape(), {axis});
+  const std::int64_t out_n = numel_of(keep_shape);
   std::vector<float> out = alloc::buffer_uninit(out_n);
   std::fill(out.begin(), out.end(), -std::numeric_limits<float>::infinity());
   std::vector<std::int64_t> arg(static_cast<std::size_t>(out_n), -1);
   const float* pa = a.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    const auto o = static_cast<std::size_t>(plan.map[static_cast<std::size_t>(i)]);
-    const float v = sign * pa[i];
-    if (v > out[o]) {
-      out[o] = v;
-      arg[o] = i;
+  // Flat input order: the strict > keeps each cell's first extremum.
+  const Shape cell_strides = broadcast_strides(keep_shape, a.shape());
+  for_each_run<1>(a.shape(), {&cell_strides}, [&](const Run<1>& run) {
+    for (std::int64_t j = 0; j < run.len; ++j) {
+      const auto o = static_cast<std::size_t>(run.start[0] + j * run.inner[0]);
+      const float v = sign * pa[run.flat + j];
+      if (v > out[o]) {
+        out[o] = v;
+        arg[o] = run.flat + j;
+      }
     }
-  }
+  });
   for (auto& v : out) v *= sign;
   const Shape final_shape =
-      keepdim ? plan.keep_shape : reduced_shape(a.shape(), {axis}, false);
+      keepdim ? keep_shape : reduced_shape(a.shape(), {axis}, false);
   const Shape in_shape = a.shape();
   return make_tensor_from_op(
       name, final_shape, std::move(out), {a},
@@ -302,8 +289,8 @@ Tensor cumsum(const Tensor& a, std::int64_t axis) {
 Tensor argmax(const Tensor& a, std::int64_t axis) {
   const auto rank = static_cast<std::int64_t>(a.shape().size());
   axis = normalize_axis(axis, rank);
-  const ReducePlan plan = make_reduce_plan(a.shape(), {axis});
-  const std::int64_t out_n = numel_of(plan.keep_shape);
+  const Shape keep_shape = keep_shape_of(a.shape(), {axis});
+  const std::int64_t out_n = numel_of(keep_shape);
   std::vector<float> best(static_cast<std::size_t>(out_n),
                           -std::numeric_limits<float>::infinity());
   std::vector<float> arg(static_cast<std::size_t>(out_n), 0.0f);
@@ -312,13 +299,17 @@ Tensor argmax(const Tensor& a, std::int64_t axis) {
   const std::int64_t ax_stride = strides[static_cast<std::size_t>(axis)];
   const std::int64_t ax_len = a.shape()[static_cast<std::size_t>(axis)];
   const float* pa = a.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    const auto o = static_cast<std::size_t>(plan.map[static_cast<std::size_t>(i)]);
-    if (pa[i] > best[o]) {
-      best[o] = pa[i];
-      arg[o] = static_cast<float>((i / ax_stride) % ax_len);
+  const Shape cell_strides = broadcast_strides(keep_shape, a.shape());
+  for_each_run<1>(a.shape(), {&cell_strides}, [&](const Run<1>& run) {
+    for (std::int64_t j = 0; j < run.len; ++j) {
+      const auto o = static_cast<std::size_t>(run.start[0] + j * run.inner[0]);
+      const std::int64_t i = run.flat + j;
+      if (pa[i] > best[o]) {
+        best[o] = pa[i];
+        arg[o] = static_cast<float>((i / ax_stride) % ax_len);
+      }
     }
-  }
+  });
   return Tensor(reduced_shape(a.shape(), {axis}, false), std::move(arg));
 }
 

@@ -52,17 +52,24 @@ Tensor permute(const Tensor& a, const std::vector<std::int64_t>& dims) {
     seen[static_cast<std::size_t>(d)] = true;
     out_shape[i] = a.shape()[static_cast<std::size_t>(d)];
   }
+  // Read the input at its own strides, taken in output dim order.
   const Shape in_strides = contiguous_strides(a.shape());
+  Shape src_strides(dims.size());
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    const std::int64_t d = dims[i] < 0 ? dims[i] + rank : dims[i];
+    src_strides[i] = in_strides[static_cast<std::size_t>(d)];
+  }
   std::vector<float> out = alloc::buffer_uninit(a.numel());
   const float* pa = a.data();
-  for_each_index(out_shape, [&](const std::vector<std::int64_t>& idx,
-                                std::int64_t flat) {
-    std::int64_t src = 0;
-    for (std::size_t i = 0; i < dims.size(); ++i) {
-      const std::int64_t d = dims[i] < 0 ? dims[i] + rank : dims[i];
-      src += idx[i] * in_strides[static_cast<std::size_t>(d)];
+  float* po = out.data();
+  for_each_run<1>(out_shape, {&src_strides}, [&](const Run<1>& r) {
+    const float* src = pa + r.start[0];
+    float* dst = po + r.flat;
+    if (r.inner[0] == 1) {
+      std::copy_n(src, r.len, dst);
+    } else {
+      for (std::int64_t j = 0; j < r.len; ++j) dst[j] = src[j * r.inner[0]];
     }
-    out[static_cast<std::size_t>(flat)] = pa[src];
   });
   // Inverse permutation for the backward pass.
   std::vector<std::int64_t> inverse(dims.size());
@@ -92,11 +99,17 @@ Tensor broadcast_to(const Tensor& a, const Shape& target) {
   const Shape strides = broadcast_strides(a.shape(), target);
   std::vector<float> out = alloc::buffer_uninit(numel_of(target));
   const float* pa = a.data();
-  for_each_index(target, [&](const std::vector<std::int64_t>& idx,
-                             std::int64_t flat) {
-    std::int64_t src = 0;
-    for (std::size_t d = 0; d < target.size(); ++d) src += idx[d] * strides[d];
-    out[static_cast<std::size_t>(flat)] = pa[src];
+  float* po = out.data();
+  for_each_run<1>(target, {&strides}, [&](const Run<1>& r) {
+    const float* src = pa + r.start[0];
+    float* dst = po + r.flat;
+    if (r.inner[0] == 0) {
+      std::fill_n(dst, r.len, *src);
+    } else if (r.inner[0] == 1) {
+      std::copy_n(src, r.len, dst);
+    } else {
+      for (std::int64_t j = 0; j < r.len; ++j) dst[j] = src[j * r.inner[0]];
+    }
   });
   const Shape in_shape = a.shape();
   return make_tensor_from_op(

@@ -1,7 +1,11 @@
 // Shape arithmetic shared by tensor ops: sizes, strides, NumPy-style
-// broadcasting rules, and multi-index iteration helpers.
+// broadcasting rules, and the run walker that strided kernels (broadcasts,
+// axis reductions, permutes) use to visit elements without per-element
+// index arithmetic.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,21 +49,85 @@ std::int64_t normalize_axis(std::int64_t axis, std::int64_t rank);
 Shape reduced_shape(const Shape& shape, const std::vector<std::int64_t>& axes,
                     bool keepdim);
 
-/// Walks all multi-indices of `shape` in row-major order, calling fn with the
-/// flat offset computed against `strides` (which may contain zeros to express
-/// broadcasting). This is the generic slow path used by broadcast kernels.
-template <typename Fn>
-void for_each_index(const Shape& shape, Fn&& fn) {
-  const std::int64_t n = numel_of(shape);
-  const std::size_t rank = shape.size();
-  std::vector<std::int64_t> idx(rank, 0);
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    fn(idx, flat);
-    for (std::int64_t d = static_cast<std::int64_t>(rank) - 1; d >= 0; --d) {
-      auto ud = static_cast<std::size_t>(d);
-      if (++idx[ud] < shape[ud]) break;
-      idx[ud] = 0;
+/// One run of for_each_run: `len` consecutive row-major elements of the
+/// walked shape, starting at row-major position `flat`. Operand k's element
+/// j of the run sits at start[k] + j * inner[k].
+template <std::size_t K>
+struct Run {
+  std::int64_t flat = 0;
+  std::int64_t len = 0;
+  std::array<std::int64_t, K> start{};
+  std::array<std::int64_t, K> inner{};
+};
+
+/// Visits every element of `shape` in row-major order, as runs along the
+/// innermost dim left after two simplifications: size-1 dims are dropped
+/// (their index is always 0), and adjacent dims merge wherever every
+/// operand's stride stays contiguous across them (outer stride == inner
+/// stride * inner extent). `strides[k]` gives operand k's stride per dim of
+/// `shape` (0 where it broadcasts). Neither step changes which element of
+/// each operand meets which row-major position, or the order of visits, so a
+/// kernel computing the same scalar expression per element gives the same
+/// bits as a per-element multi-index walk. inner[k] is the same for every
+/// run, so kernels pick their loop once per run by it: 0 (a broadcast
+/// value), 1 (a dense span) or general. A shape with no dims of size > 1 is
+/// one run of one element; a shape with a zero dim visits nothing.
+template <std::size_t K, typename Fn>
+void for_each_run(const Shape& shape, const std::array<const Shape*, K>& strides,
+                  Fn&& fn) {
+  struct Dim {
+    std::int64_t extent;
+    std::int64_t index;
+    std::array<std::int64_t, K> stride;
+  };
+  for (const Shape* s : strides) {
+    TX_CHECK(s->size() == shape.size(), "for_each_run: ", s->size(),
+             " strides for rank ", shape.size());
+  }
+  std::vector<Dim> dims;  // merged dims, innermost first
+  dims.reserve(shape.size());
+  for (std::size_t d = shape.size(); d-- > 0;) {
+    const std::int64_t extent = shape[d];
+    if (extent == 0) return;
+    if (extent == 1) continue;
+    Dim next{extent, 0, {}};
+    bool merges = !dims.empty();
+    for (std::size_t k = 0; k < K; ++k) {
+      next.stride[k] = (*strides[k])[d];
+      if (merges) {
+        merges = next.stride[k] == dims.back().stride[k] * dims.back().extent;
+      }
     }
+    if (merges) {
+      dims.back().extent *= extent;
+    } else {
+      dims.push_back(next);
+    }
+  }
+  Run<K> run;
+  if (dims.empty()) {
+    run.len = 1;
+    fn(run);
+    return;
+  }
+  run.len = dims[0].extent;
+  run.inner = dims[0].stride;
+  for (;;) {
+    fn(run);
+    run.flat += run.len;
+    std::size_t d = 1;
+    for (; d < dims.size(); ++d) {  // mixed-radix carry over the outer dims
+      Dim& dim = dims[d];
+      if (++dim.index < dim.extent) {
+        for (std::size_t k = 0; k < K; ++k) run.start[k] += dim.stride[k];
+        break;
+      }
+      dim.index = 0;
+      for (std::size_t k = 0; k < K; ++k) {
+        run.start[k] -= dim.stride[k] * (dim.extent - 1);
+      }
+    }
+    if (d == dims.size()) return;
   }
 }
 
