@@ -46,17 +46,14 @@ Tensor permute(const Tensor& a, const std::vector<std::int64_t>& dims) {
            "permute: dims arity mismatch");
   std::vector<bool> seen(dims.size(), false);
   Shape out_shape(dims.size());
+  // The input's strides, taken in output dim order.
+  const Shape in_strides = contiguous_strides(a.shape());
+  Shape src_strides(dims.size());
   for (std::size_t i = 0; i < dims.size(); ++i) {
     const std::int64_t d = normalize_axis(dims[i], rank);
     TX_CHECK(!seen[static_cast<std::size_t>(d)], "permute: repeated dim ", d);
     seen[static_cast<std::size_t>(d)] = true;
     out_shape[i] = a.shape()[static_cast<std::size_t>(d)];
-  }
-  // Read the input at its own strides, taken in output dim order.
-  const Shape in_strides = contiguous_strides(a.shape());
-  Shape src_strides(dims.size());
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    const std::int64_t d = dims[i] < 0 ? dims[i] + rank : dims[i];
     src_strides[i] = in_strides[static_cast<std::size_t>(d)];
   }
   std::vector<float> out = alloc::buffer_uninit(a.numel());
