@@ -11,6 +11,7 @@
 #include <random>
 #include <string>
 
+#include "par/pool.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 
@@ -753,6 +754,369 @@ TEST(StridedReference, ExtremaMatchIndexWalkWithTies) {
   }
   check_extremum(rng.values({64, 10}, true), 1);
   check_extremum(rng.values({2, 3, 4, 5, 6, 7}, true), 3);
+}
+
+
+// ---- Bitwise reference: the axpy / dot8 GEMM loops -------------------------
+// matmul, bmm, linear and conv2d must reproduce bit for bit the plain loops
+// below, at every SIMD level and thread count. C += A*B adds one rounded
+// product per cell for each p in ascending order (the axpy formulation); A is
+// read through row/column strides so both A and A^T layouts are covered.
+// C += A*B^T adds one canonical dot per cell: lane l folds elements l, l+8,
+// ... in ascending order, the lanes combine as ((p0+p1)+(p2+p3)) +
+// ((p4+p5)+(p6+p7)), and the n % 8 tail folds in after the tree.
+
+/// Restores the startup SIMD level and pool size when a test exits.
+class LevelThreadsGuard {
+ public:
+  LevelThreadsGuard()
+      : level_(simd::active_level()), threads_(par::num_threads()) {}
+  ~LevelThreadsGuard() {
+    simd::set_level_for_testing(level_);
+    par::set_num_threads(threads_);
+  }
+
+ private:
+  simd::Level level_;
+  int threads_;
+};
+
+/// Runs `body` at every available SIMD level x {1, 4} pool threads.
+template <typename Fn>
+void for_each_level_and_threads(Fn&& body) {
+  LevelThreadsGuard guard;
+  for (const simd::Level lvl :
+       {simd::Level::kScalar, simd::Level::kAVX2, simd::Level::kNEON}) {
+    if (!simd::level_available(lvl)) continue;
+    simd::set_level_for_testing(lvl);
+    for (const int threads : {1, 4}) {
+      par::set_num_threads(threads);
+      body("level " + std::to_string(static_cast<int>(lvl)) + " threads " +
+           std::to_string(threads));
+    }
+  }
+}
+
+float ref_dot8(const float* a, const float* b, std::int64_t n) {
+  float p[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+  const std::int64_t main_n = n & ~std::int64_t{7};
+  for (std::int64_t i = 0; i < main_n; i += 8) {
+    for (int l = 0; l < 8; ++l) {
+      const float prod = a[i + l] * b[i + l];
+      p[l] = p[l] + prod;
+    }
+  }
+  float total =
+      ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+  for (std::int64_t i = main_n; i < n; ++i) {
+    const float prod = a[i] * b[i];
+    total = total + prod;
+  }
+  return total;
+}
+
+/// C(m,n) += A(m,k) * B(k,n) with A[i][p] = a[i * a_rs + p * a_cs].
+void ref_gemm(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+              const float* b, float* c, std::int64_t m, std::int64_t k,
+              std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float av = a[i * a_rs + p * a_cs];
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float prod = av * b[p * n + j];
+        c[i * n + j] = c[i * n + j] + prod;
+      }
+    }
+  }
+}
+
+/// C(m,n) += A(m,k) * B(n,k)^T, one canonical dot per cell.
+void ref_gemm_bt(const float* a, const float* b, float* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      c[i * n + j] = c[i * n + j] + ref_dot8(a + i * k, b + j * k, k);
+    }
+  }
+}
+
+std::vector<float> zeros_of(std::int64_t n) {
+  return std::vector<float>(static_cast<std::size_t>(n), 0.0f);
+}
+
+/// Leaf copy of `t` that records gradients.
+Tensor grad_leaf(const Tensor& t) {
+  Tensor x = t.detach();
+  x.set_requires_grad(true);
+  return x;
+}
+
+/// Seeds `y`'s gradient with exactly `g`: d(sum(y * g))/dy = 1 * g.
+void backward_with(const Tensor& y, const Tensor& g) { sum(mul(y, g)).backward(); }
+
+void check_matmul(RefRng& rng, std::int64_t m, std::int64_t k, std::int64_t n) {
+  const Tensor a = rng.values({m, k});
+  const Tensor b = rng.values({k, n});
+  const Tensor g = rng.values({m, n});
+  std::vector<float> y = zeros_of(m * n);
+  std::vector<float> ga = zeros_of(m * k);
+  std::vector<float> gb = zeros_of(k * n);
+  ref_gemm(a.data(), k, 1, b.data(), y.data(), m, k, n);
+  ref_gemm_bt(g.data(), b.data(), ga.data(), m, n, k);
+  ref_gemm(a.data(), 1, k, g.data(), gb.data(), k, m, n);
+  const std::string dims = " m" + std::to_string(m) + " k" +
+                           std::to_string(k) + " n" + std::to_string(n);
+  for_each_level_and_threads([&](const std::string& where) {
+    const Tensor la = grad_leaf(a), lb = grad_leaf(b);
+    const Tensor out = matmul(la, lb);
+    expect_bits(out, {m, n}, y, "matmul" + dims + " " + where);
+    backward_with(out, g);
+    expect_bits(la.grad(), {m, k}, ga, "matmul ga" + dims + " " + where);
+    expect_bits(lb.grad(), {k, n}, gb, "matmul gb" + dims + " " + where);
+  });
+}
+
+TEST(GemmReference, MatmulForwardBackwardMatchAxpyDotLoops) {
+  RefRng rng(201);
+  // m*k*n below and above the 2^16 fan-out threshold, unit dims, the
+  // fig1 hidden-to-output shape, and an mlp_serve input layer.
+  const std::int64_t shapes[][3] = {
+      {1, 1, 1},   {3, 5, 7},   {9, 8, 17},  {64, 1, 50},  {64, 50, 1},
+      {64, 50, 50}, {37, 45, 50}, {40, 41, 40}, {33, 72, 9}, {8, 784, 64},
+      {5, 3, 256}};
+  for (const auto& s : shapes) check_matmul(rng, s[0], s[1], s[2]);
+}
+
+TEST(GemmReference, BmmForwardBackwardMatchAxpyDotLoops) {
+  RefRng rng(202);
+  const std::int64_t shapes[][4] = {
+      {1, 3, 4, 5}, {3, 4, 5, 6}, {2, 9, 1, 17}, {4, 20, 30, 40}, {3, 33, 64, 17}};
+  for (const auto& s : shapes) {
+    const std::int64_t batch = s[0], m = s[1], k = s[2], n = s[3];
+    const Tensor a = rng.values({batch, m, k});
+    const Tensor b = rng.values({batch, k, n});
+    const Tensor g = rng.values({batch, m, n});
+    std::vector<float> y = zeros_of(batch * m * n);
+    std::vector<float> ga = zeros_of(batch * m * k);
+    std::vector<float> gb = zeros_of(batch * k * n);
+    for (std::int64_t i = 0; i < batch; ++i) {
+      const float* ai = a.data() + i * m * k;
+      const float* bi = b.data() + i * k * n;
+      const float* gi = g.data() + i * m * n;
+      ref_gemm(ai, k, 1, bi, y.data() + i * m * n, m, k, n);
+      ref_gemm_bt(gi, bi, ga.data() + i * m * k, m, n, k);
+      ref_gemm(ai, 1, k, gi, gb.data() + i * k * n, k, m, n);
+    }
+    const std::string dims = " " + shape_str({batch, m, k, n});
+    for_each_level_and_threads([&](const std::string& where) {
+      const Tensor la = grad_leaf(a), lb = grad_leaf(b);
+      const Tensor out = bmm(la, lb);
+      expect_bits(out, {batch, m, n}, y, "bmm" + dims + " " + where);
+      backward_with(out, g);
+      expect_bits(la.grad(), {batch, m, k}, ga, "bmm ga" + dims + " " + where);
+      expect_bits(lb.grad(), {batch, k, n}, gb, "bmm gb" + dims + " " + where);
+    });
+  }
+}
+
+TEST(GemmReference, LinearForwardBackwardMatchAxpyDotLoops) {
+  RefRng rng(203);
+  // {rows, in, out}: linear runs matmul(x, W^T), so W's gradient is the
+  // transpose of the (in, out) product gradient.
+  const std::int64_t shapes[][3] = {
+      {4, 1, 50}, {64, 50, 1}, {64, 50, 50}, {7, 9, 17}, {32, 784, 64}};
+  for (const auto& s : shapes) {
+    const std::int64_t rows = s[0], in = s[1], out_f = s[2];
+    const Tensor x = rng.values({rows, in});
+    const Tensor w = rng.values({out_f, in});
+    const Tensor bias = rng.values({out_f});
+    const Tensor g = rng.values({rows, out_f});
+    std::vector<float> wt(static_cast<std::size_t>(in * out_f));
+    for (std::int64_t o = 0; o < out_f; ++o) {
+      for (std::int64_t p = 0; p < in; ++p) {
+        wt[static_cast<std::size_t>(p * out_f + o)] = w.data()[o * in + p];
+      }
+    }
+    std::vector<float> y = zeros_of(rows * out_f);
+    std::vector<float> gx = zeros_of(rows * in);
+    std::vector<float> gwt = zeros_of(in * out_f);
+    ref_gemm(x.data(), in, 1, wt.data(), y.data(), rows, in, out_f);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      for (std::int64_t o = 0; o < out_f; ++o) {
+        float& cell = y[static_cast<std::size_t>(i * out_f + o)];
+        cell = cell + bias.data()[o];
+      }
+    }
+    ref_gemm_bt(g.data(), wt.data(), gx.data(), rows, out_f, in);
+    ref_gemm(x.data(), 1, in, g.data(), gwt.data(), in, rows, out_f);
+    std::vector<float> gw(gwt.size());
+    for (std::int64_t o = 0; o < out_f; ++o) {
+      for (std::int64_t p = 0; p < in; ++p) {
+        gw[static_cast<std::size_t>(o * in + p)] =
+            gwt[static_cast<std::size_t>(p * out_f + o)];
+      }
+    }
+    const std::string dims = " " + shape_str({rows, in, out_f});
+    for_each_level_and_threads([&](const std::string& where) {
+      const Tensor lx = grad_leaf(x), lw = grad_leaf(w);
+      const Tensor out = linear(lx, lw, bias);
+      expect_bits(out, {rows, out_f}, y, "linear" + dims + " " + where);
+      backward_with(out, g);
+      expect_bits(lx.grad(), {rows, in}, gx, "linear gx" + dims + " " + where);
+      expect_bits(lw.grad(), {out_f, in}, gw, "linear gw" + dims + " " + where);
+    });
+  }
+}
+
+// ---- Bitwise reference: per-element im2col / col2im ------------------------
+// conv2d's forward, gx, gw and gb must match the formulation below: expand
+// each image with a bounds test per element, run the axpy/dot loops above,
+// scatter back per element. gw folds images in order; on the fan-out path
+// (n > 1, flops at kRefConvParThreshold or more, n * |W| at most
+// kRefConvPartialCap) each image's dot first lands in its own zeroed
+// partial, which is then added in image order.
+
+constexpr std::int64_t kRefConvParThreshold = std::int64_t{1} << 16;
+constexpr std::int64_t kRefConvPartialCap = std::int64_t{1} << 22;
+
+struct RefConv {
+  std::int64_t n, ic, ih, iw, oc, kh, kw, stride, padding;
+  std::int64_t oh() const { return (ih + 2 * padding - kh) / stride + 1; }
+  std::int64_t ow() const { return (iw + 2 * padding - kw) / stride + 1; }
+  std::int64_t patch() const { return ic * kh * kw; }
+  std::int64_t spatial() const { return oh() * ow(); }
+};
+
+void ref_im2col(const float* img, const RefConv& d, float* cols) {
+  const std::int64_t oh = d.oh(), ow = d.ow();
+  for (std::int64_t c = 0; c < d.ic; ++c) {
+    for (std::int64_t ky = 0; ky < d.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < d.kw; ++kx) {
+        float* dst = cols + ((c * d.kh + ky) * d.kw + kx) * oh * ow;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * d.stride + ky - d.padding;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * d.stride + kx - d.padding;
+            const bool inside = iy >= 0 && iy < d.ih && ix >= 0 && ix < d.iw;
+            dst[oy * ow + ox] = inside ? img[(c * d.ih + iy) * d.iw + ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void ref_col2im(const float* cols, const RefConv& d, float* img) {
+  const std::int64_t oh = d.oh(), ow = d.ow();
+  for (std::int64_t c = 0; c < d.ic; ++c) {
+    for (std::int64_t ky = 0; ky < d.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < d.kw; ++kx) {
+        const float* src = cols + ((c * d.kh + ky) * d.kw + kx) * oh * ow;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * d.stride + ky - d.padding;
+          if (iy < 0 || iy >= d.ih) continue;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * d.stride + kx - d.padding;
+            if (ix < 0 || ix >= d.iw) continue;
+            float& cell = img[(c * d.ih + iy) * d.iw + ix];
+            cell = cell + src[oy * ow + ox];
+          }
+        }
+      }
+    }
+  }
+}
+
+void check_conv(RefRng& rng, const RefConv& d) {
+  const std::int64_t patch = d.patch(), spatial = d.spatial();
+  const std::int64_t img_size = d.ic * d.ih * d.iw, wsize = d.oc * patch;
+  const Tensor x = rng.values({d.n, d.ic, d.ih, d.iw});
+  const Tensor w = rng.values({d.oc, d.ic, d.kh, d.kw});
+  const Tensor bias = rng.values({d.oc});
+  const Tensor g = rng.values({d.n, d.oc, d.oh(), d.ow()});
+  std::vector<float> y = zeros_of(d.n * d.oc * spatial);
+  std::vector<float> gx = zeros_of(d.n * img_size);
+  std::vector<float> gw = zeros_of(wsize);
+  std::vector<float> gb = zeros_of(d.oc);
+  std::vector<float> cols = zeros_of(patch * spatial);
+  const bool fan_out = d.n > 1 &&
+                       d.n * patch * spatial * d.oc >= kRefConvParThreshold &&
+                       d.n * wsize <= kRefConvPartialCap;
+  for (std::int64_t img = 0; img < d.n; ++img) {
+    const float* gout = g.data() + img * d.oc * spatial;
+    ref_im2col(x.data() + img * img_size, d, cols.data());
+    ref_gemm(w.data(), patch, 1, cols.data(), y.data() + img * d.oc * spatial,
+             d.oc, patch, spatial);
+    if (fan_out) {
+      std::vector<float> part = zeros_of(wsize);
+      ref_gemm_bt(gout, cols.data(), part.data(), d.oc, spatial, patch);
+      for (std::int64_t i = 0; i < wsize; ++i) {
+        gw[static_cast<std::size_t>(i)] =
+            gw[static_cast<std::size_t>(i)] + part[static_cast<std::size_t>(i)];
+      }
+    } else {
+      ref_gemm_bt(gout, cols.data(), gw.data(), d.oc, spatial, patch);
+    }
+    std::vector<float> gcols = zeros_of(patch * spatial);
+    ref_gemm(w.data(), 1, patch, gout, gcols.data(), patch, d.oc, spatial);
+    ref_col2im(gcols.data(), d, gx.data() + img * img_size);
+    for (std::int64_t c = 0; c < d.oc; ++c) {
+      float* dst = y.data() + (img * d.oc + c) * spatial;
+      const float* src = gout + c * spatial;
+      float acc = 0.0f;
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        dst[s] = dst[s] + bias.data()[c];
+        acc = acc + src[s];
+      }
+      gb[static_cast<std::size_t>(c)] = gb[static_cast<std::size_t>(c)] + acc;
+    }
+  }
+  const std::string dims = " x" + shape_str(x.shape()) + " w" +
+                           shape_str(w.shape()) + " s" +
+                           std::to_string(d.stride) + " p" +
+                           std::to_string(d.padding);
+  for_each_level_and_threads([&](const std::string& where) {
+    const Tensor lx = grad_leaf(x), lw = grad_leaf(w), lb = grad_leaf(bias);
+    const Tensor out = conv2d(lx, lw, lb, d.stride, d.padding);
+    expect_bits(out, {d.n, d.oc, d.oh(), d.ow()}, y,
+                "conv2d" + dims + " " + where);
+    backward_with(out, g);
+    expect_bits(lx.grad(), x.shape(), gx, "conv2d gx" + dims + " " + where);
+    expect_bits(lw.grad(), w.shape(), gw, "conv2d gw" + dims + " " + where);
+    expect_bits(lb.grad(), {d.oc}, gb, "conv2d gb" + dims + " " + where);
+  });
+}
+
+TEST(ConvReference, KernelsStridesPaddingsMatchPerElementIm2col) {
+  RefRng rng(301);
+  // Non-square images, including ones narrower than the kernel and paddings
+  // at or past the kernel size (whole padding rows and columns).
+  const std::int64_t images[][2] = {{5, 7}, {8, 3}, {2, 6}, {9, 9}};
+  for (const std::int64_t k : {1, 3, 5}) {
+    for (std::int64_t stride = 1; stride <= 3; ++stride) {
+      for (std::int64_t padding = 0; padding <= 3; ++padding) {
+        for (const auto& hw : images) {
+          const RefConv d{2, 2, hw[0], hw[1], 3, k, k, stride, padding};
+          if (hw[0] + 2 * padding < k || hw[1] + 2 * padding < k) continue;
+          check_conv(rng, d);
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvReference, FanOutGatesMatchPerElementIm2col) {
+  RefRng rng(302);
+  // n * patch * spatial * oc on both sides of the fan-out threshold.
+  check_conv(rng, {1, 3, 8, 8, 4, 3, 3, 1, 1});    // one image, above it
+  check_conv(rng, {3, 2, 6, 5, 3, 3, 3, 1, 1});    // below it
+  check_conv(rng, {4, 4, 16, 16, 8, 3, 3, 1, 1});  // above it: partials
+  check_conv(rng, {6, 8, 8, 8, 16, 3, 3, 2, 1});   // strided, above it
+  check_conv(rng, {5, 3, 7, 9, 4, 1, 1, 1, 0});    // 1x1, below it
+  // n * |W| past the partial cap: above the threshold but folded serially.
+  check_conv(rng, {11, 128, 6, 6, 128, 5, 5, 1, 0});
+  // The resnet stem: 3 -> 4 channels on 16x16 images, padding 1.
+  check_conv(rng, {32, 3, 16, 16, 4, 3, 3, 1, 1});
 }
 
 }  // namespace
