@@ -24,7 +24,7 @@ Shape broadcast_shapes(const Shape& a, const Shape& b) {
   for (std::size_t i = 0; i < r; ++i) {
     const std::int64_t da = i < ra ? a[ra - 1 - i] : 1;
     const std::int64_t db = i < rb ? b[rb - 1 - i] : 1;
-    out[r - 1 - i] = std::max(da, db);
+    out[r - 1 - i] = da == 1 ? db : da;
   }
   return out;
 }

@@ -30,6 +30,30 @@ TEST(Shape, Broadcasting) {
   EXPECT_EQ(broadcast_shapes({3, 1}, {4}), (Shape{3, 4}));
   EXPECT_EQ(broadcast_shapes({}, {2, 2}), (Shape{2, 2}));
   EXPECT_THROW(broadcast_shapes({3}, {4}), Error);
+  // A 0 against a 1 broadcasts to 0, as in NumPy.
+  EXPECT_EQ(broadcast_shapes({0}, {1}), (Shape{0}));
+  EXPECT_EQ(broadcast_shapes({1}, {0}), (Shape{0}));
+  EXPECT_EQ(broadcast_shapes({2, 0}, {2, 1}), (Shape{2, 0}));
+  EXPECT_THROW(broadcast_shapes({0}, {2}), Error);
+}
+
+TEST(Shape, ZeroExtentBroadcastsAgainstOne) {
+  const std::vector<std::pair<Shape, Shape>> cases = {{{0}, {1}},
+                                                      {{2, 0}, {2, 1}}};
+  for (const auto& [sa, sb] : cases) {
+    Tensor a = zeros(sa).set_requires_grad(true);
+    Tensor b = ones(sb).set_requires_grad(true);
+    const Tensor y = add(a, b);
+    EXPECT_EQ(y.shape(), sa);
+    EXPECT_EQ(add(b, a).shape(), sa);
+    EXPECT_EQ(sum_to(y, sb).shape(), sb);
+    sum(y).backward();
+    EXPECT_EQ(a.grad().shape(), sa);
+    ASSERT_EQ(b.grad().shape(), sb);
+    for (std::int64_t i = 0; i < b.grad().numel(); ++i) {
+      EXPECT_EQ(b.grad().at(i), 0.0f);
+    }
+  }
 }
 
 TEST(Tensor, ConstructionAndAccess) {
