@@ -8,12 +8,13 @@
 // sequential accumulation bit-for-bit (each image contributes exactly one
 // float per gw cell), so results match at every TYXE_NUM_THREADS.
 //
-// The inner gemms run on tx::simd kernels (axpy_n / dot8), which evaluate the
-// same canonical arithmetic at every dispatch level, so conv results are also
-// bitwise identical across TYXE_SIMD settings. Output buffers come from
+// The gemms run on the tx::simd micro-kernels (gemm_acc / gemm_bt_acc), which
+// evaluate the same canonical arithmetic at every dispatch level, so conv
+// results are also bitwise identical across TYXE_SIMD settings. Output buffers come from
 // tx::alloc; per-worker im2col scratch stays plain (never tensor-adopted).
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "obs/event_sink.h"
 #include "obs/prof.h"
@@ -63,86 +64,79 @@ ConvDims conv_dims(const Tensor& x, const Tensor& w, std::int64_t stride,
   return d;
 }
 
-/// Expand one image (ic, ih, iw) into columns (ic*kh*kw, oh*ow).
+/// Output positions [lo, hi) along one axis whose input coordinate
+/// o * stride + offset lands inside [0, extent); empty when lo == hi.
+std::pair<std::int64_t, std::int64_t> inside_range(std::int64_t offset,
+                                                   std::int64_t stride,
+                                                   std::int64_t extent,
+                                                   std::int64_t count) {
+  const std::int64_t lo =
+      std::min(count, offset >= 0 ? 0 : (stride - 1 - offset) / stride);
+  const std::int64_t hi =
+      extent > offset
+          ? std::min(count, (extent - offset + stride - 1) / stride)
+          : 0;
+  return {lo, std::max(lo, hi)};
+}
+
+/// Expand one image (ic, ih, iw) into columns (ic*kh*kw, oh*ow). The valid
+/// output range is computed once per (c, ky, kx): rows whose input row is
+/// padding are zero-filled, stride-1 rows are contiguous copies.
 void im2col(const float* img, const ConvDims& d, float* cols) {
-  const std::int64_t patch = d.ic * d.kh * d.kw;
   const std::int64_t spatial = d.oh * d.ow;
   for (std::int64_t c = 0; c < d.ic; ++c) {
     for (std::int64_t ky = 0; ky < d.kh; ++ky) {
+      const auto [y0, y1] = inside_range(ky - d.padding, d.stride, d.ih, d.oh);
       for (std::int64_t kx = 0; kx < d.kw; ++kx) {
-        const std::int64_t row = (c * d.kh + ky) * d.kw + kx;
-        float* dst = cols + row * spatial;
-        for (std::int64_t oy = 0; oy < d.oh; ++oy) {
-          const std::int64_t iy = oy * d.stride + ky - d.padding;
-          for (std::int64_t ox = 0; ox < d.ow; ++ox) {
-            const std::int64_t ix = ox * d.stride + kx - d.padding;
-            const bool inside = iy >= 0 && iy < d.ih && ix >= 0 && ix < d.iw;
-            dst[oy * d.ow + ox] =
-                inside ? img[(c * d.ih + iy) * d.iw + ix] : 0.0f;
+        const auto [x0, x1] =
+            inside_range(kx - d.padding, d.stride, d.iw, d.ow);
+        float* dst = cols + ((c * d.kh + ky) * d.kw + kx) * spatial;
+        std::fill(dst, dst + y0 * d.ow, 0.0f);
+        for (std::int64_t oy = y0; oy < y1; ++oy) {
+          float* out = dst + oy * d.ow;
+          std::fill(out, out + x0, 0.0f);
+          if (x1 > x0) {
+            const std::int64_t iy = oy * d.stride + ky - d.padding;
+            const float* src =
+                img + (c * d.ih + iy) * d.iw + x0 * d.stride + kx - d.padding;
+            if (d.stride == 1) {
+              std::copy(src, src + (x1 - x0), out + x0);
+            } else {
+              for (std::int64_t ox = x0; ox < x1; ++ox) {
+                out[ox] = src[(ox - x0) * d.stride];
+              }
+            }
           }
+          std::fill(out + x1, out + d.ow, 0.0f);
         }
+        std::fill(dst + y1 * d.ow, dst + spatial, 0.0f);
       }
     }
   }
-  (void)patch;
 }
 
-/// Scatter columns (ic*kh*kw, oh*ow) back into an image, accumulating.
+/// Scatter columns (ic*kh*kw, oh*ow) back into an image, accumulating in
+/// the same (c, ky, kx, oy, ox) order as a per-element bounds-tested walk.
 void col2im(const float* cols, const ConvDims& d, float* img) {
   const std::int64_t spatial = d.oh * d.ow;
   for (std::int64_t c = 0; c < d.ic; ++c) {
     for (std::int64_t ky = 0; ky < d.kh; ++ky) {
+      const auto [y0, y1] = inside_range(ky - d.padding, d.stride, d.ih, d.oh);
       for (std::int64_t kx = 0; kx < d.kw; ++kx) {
-        const std::int64_t row = (c * d.kh + ky) * d.kw + kx;
-        const float* src = cols + row * spatial;
-        for (std::int64_t oy = 0; oy < d.oh; ++oy) {
+        const auto [x0, x1] =
+            inside_range(kx - d.padding, d.stride, d.iw, d.ow);
+        if (x1 == x0) continue;
+        const float* src = cols + ((c * d.kh + ky) * d.kw + kx) * spatial;
+        for (std::int64_t oy = y0; oy < y1; ++oy) {
           const std::int64_t iy = oy * d.stride + ky - d.padding;
-          if (iy < 0 || iy >= d.ih) continue;
-          for (std::int64_t ox = 0; ox < d.ow; ++ox) {
-            const std::int64_t ix = ox * d.stride + kx - d.padding;
-            if (ix < 0 || ix >= d.iw) continue;
-            img[(c * d.ih + iy) * d.iw + ix] += src[oy * d.ow + ox];
+          const float* in = src + oy * d.ow;
+          float* out =
+              img + (c * d.ih + iy) * d.iw + x0 * d.stride + kx - d.padding;
+          for (std::int64_t ox = x0; ox < x1; ++ox) {
+            out[(ox - x0) * d.stride] += in[ox];
           }
         }
       }
-    }
-  }
-}
-
-/// C(M,N) += A(M,K) * B(K,N). Per output cell, k contributions accumulate in
-/// ascending-p order (each axpy adds exactly one product per cell).
-void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
-              std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t p = 0; p < k; ++p) {
-      simd::axpy_n(arow[p], b + p * n, crow, n);
-    }
-  }
-}
-
-/// C(M,N) += A(K,M)^T * B(K,N). Per cell, p ascends outermost, so the
-/// accumulation order per cell is ascending-p, same as gemm_acc.
-void gemm_at_acc(const float* a, const float* b, float* c, std::int64_t k,
-                 std::int64_t m, std::int64_t n) {
-  for (std::int64_t p = 0; p < k; ++p) {
-    const float* arow = a + p * m;
-    const float* brow = b + p * n;
-    for (std::int64_t i = 0; i < m; ++i) {
-      simd::axpy_n(arow[i], brow, c + i * n, n);
-    }
-  }
-}
-
-/// C(M,N) += A(M,K) * B(N,K)^T. Each cell is one canonical 8-lane dot.
-void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
-                 std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      crow[j] += simd::dot8(arow, b + j * k, k);
     }
   }
 }
@@ -186,8 +180,9 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
         for (std::int64_t img = i0; img < i1; ++img) {
           im2col(x.data() + img * d.ic * d.ih * d.iw, d, cols.data());
           // weight (oc, patch) * cols (patch, spatial) -> out (oc, spatial)
-          gemm_acc(weight.data(), cols.data(),
-                   out.data() + img * d.oc * spatial, d.oc, patch, spatial);
+          simd::gemm_acc(weight.data(), patch, 1, cols.data(),
+                         out.data() + img * d.oc * spatial, d.oc, patch,
+                         spatial);
         }
       });
     }
@@ -237,11 +232,12 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
             for (std::int64_t img = i0; img < i1; ++img) {
               const float* gout = g.data() + img * d.oc * spatial;
               im2col(x.data() + img * d.ic * d.ih * d.iw, d, cols.data());
-              gemm_bt_acc(gout, cols.data(), gw_parts.data() + img * wsize,
-                          d.oc, spatial, patch);
+              simd::gemm_bt_acc(gout, cols.data(),
+                                gw_parts.data() + img * wsize, d.oc, spatial,
+                                patch);
               std::fill(gcols.begin(), gcols.end(), 0.0f);
-              gemm_at_acc(weight.data(), gout, gcols.data(), d.oc, patch,
-                          spatial);
+              simd::gemm_acc(weight.data(), 1, patch, gout, gcols.data(),
+                             patch, d.oc, spatial);
               col2im(gcols.data(), d, gx.data() + img * d.ic * d.ih * d.iw);
             }
           });
@@ -256,11 +252,12 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
             const float* gout = g.data() + img * d.oc * spatial;
             // dW (oc, patch) += gout (oc, spatial) * cols (patch, spatial)^T
             im2col(x.data() + img * d.ic * d.ih * d.iw, d, cols.data());
-            gemm_bt_acc(gout, cols.data(), gw.data(), d.oc, spatial, patch);
+            simd::gemm_bt_acc(gout, cols.data(), gw.data(), d.oc, spatial,
+                              patch);
             // dcols (patch, spatial) = W (oc, patch)^T * gout (oc, spatial)
             std::fill(gcols.begin(), gcols.end(), 0.0f);
-            gemm_at_acc(weight.data(), gout, gcols.data(), d.oc, patch,
-                        spatial);
+            simd::gemm_acc(weight.data(), 1, patch, gout, gcols.data(), patch,
+                           d.oc, spatial);
             col2im(gcols.data(), d, gx.data() + img * d.ic * d.ih * d.iw);
           }
         }

@@ -1,12 +1,12 @@
-// Matrix products. Kernels use the i-k-j loop order so the inner loop streams
-// contiguously through both the B matrix and the output row; the K dimension
-// is cache-blocked and the inner loops dispatch through tx::simd.
+// Matrix products. Every product runs on the tx::simd GEMM micro-kernels:
+// gemm_acc for A*B and A^T*B (A^T as a strided view, no copy), gemm_bt_acc
+// for A*B^T. Each cell accumulates its products p-ascending (A*B, A^T*B) or
+// as one canonical 8-lane dot (A*B^T), at every dispatch level.
 //
-// Above kParFlopThreshold flops the kernels split over output rows via
-// tx::par. Every output element is computed in the same accumulation order
-// as the single-threaded scalar path (tiling keeps k ascending per cell; the
-// simd kernels mirror the scalar arithmetic exactly), so results are
-// bitwise-identical for every TYXE_NUM_THREADS and every TYXE_SIMD level.
+// Above kParFlopThreshold flops the products split over output rows via
+// tx::par. A cell's arithmetic does not depend on which rows share its
+// chunk or tile, so results are bitwise-identical for every
+// TYXE_NUM_THREADS and every TYXE_SIMD level.
 #include "obs/event_sink.h"
 #include "obs/prof.h"
 #include "obs/timer.h"
@@ -16,8 +16,6 @@
 #include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
-
-#include <algorithm>
 
 namespace tx {
 
@@ -37,78 +35,26 @@ std::string gemm_trace_args(std::int64_t batch, std::int64_t m, std::int64_t k,
 constexpr std::int64_t kParFlopThreshold = std::int64_t{1} << 16;
 /// Minimum output rows per chunk.
 constexpr std::int64_t kRowGrain = 4;
-/// K-dimension tile: keeps a ~kKTile x n panel of B hot in cache while it is
-/// streamed over every output row. Tiles are visited in ascending order and
-/// each cell accumulates k ascending within a tile, so the per-cell
-/// accumulation order is identical to the untiled loop — tiling never
-/// reassociates sums.
-constexpr std::int64_t kKTile = 128;
 
-/// C(M,N) += A(M,K) * B(K,N) over raw buffers. The inner loop over the
-/// output row is a simd axpy (two roundings per element, exactly the scalar
-/// crow[j] += av * brow[j]).
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
-                     std::int64_t k, std::int64_t n) {
-  for (std::int64_t p0 = 0; p0 < k; p0 += kKTile) {
-    const std::int64_t p1 = std::min(k, p0 + kKTile);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      for (std::int64_t p = p0; p < p1; ++p) {
-        simd::axpy_n(arow[p], b + p * n, crow, n);
-      }
-    }
-  }
-}
-
-/// C(M,N) += A(M,K) * B(N,K)^T. Each cell is one canonical 8-lane dot.
-void gemm_bt_accumulate(const float* a, const float* b, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      crow[j] += simd::dot8(arow, b + j * k, k);
-    }
-  }
-}
-
-/// C(K,N) += A(M,K)^T * B(M,N).
-void gemm_at_accumulate(const float* a, const float* b, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const float* brow = b + i * n;
-    for (std::int64_t p = 0; p < k; ++p) {
-      simd::axpy_n(arow[p], brow, c + p * n, n);
-    }
-  }
-}
-
-/// gemm_at restricted to output rows [p0, p1). Per cell the accumulation
-/// order over i is ascending, exactly as in gemm_at_accumulate, so the two
-/// are bitwise-interchangeable; this variant has disjoint output rows and is
-/// safe to run chunked in parallel.
+/// C(K,N) += A(M,K)^T * B(M,N), restricted to output rows [p0, p1). A is
+/// read as the transposed view (row stride 1, column stride k); per cell the
+/// accumulation over i is ascending whatever the row range, so chunks with
+/// disjoint rows can run in parallel.
 void gemm_at_rows(const float* a, const float* b, float* c, std::int64_t m,
                   std::int64_t k, std::int64_t n, std::int64_t p0,
                   std::int64_t p1) {
-  for (std::int64_t p = p0; p < p1; ++p) {
-    float* crow = c + p * n;
-    for (std::int64_t i = 0; i < m; ++i) {
-      simd::axpy_n(a[i * k + p], b + i * n, crow, n);
-    }
-  }
+  simd::gemm_acc(a + p0, 1, k, b, c + p0 * n, p1 - p0, m, n);
 }
 
 /// Row-parallel C(M,N) += A(M,K) * B(K,N) above the flop threshold.
 void gemm_dispatch(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n) {
   if (m * k * n < kParFlopThreshold) {
-    gemm_accumulate(a, b, c, m, k, n);
+    simd::gemm_acc(a, k, 1, b, c, m, k, n);
     return;
   }
   par::parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    gemm_accumulate(a + i0 * k, b, c + i0 * n, i1 - i0, k, n);
+    simd::gemm_acc(a + i0 * k, k, 1, b, c + i0 * n, i1 - i0, k, n);
   });
 }
 
@@ -116,11 +62,11 @@ void gemm_dispatch(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_bt_dispatch(const float* a, const float* b, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n) {
   if (m * k * n < kParFlopThreshold) {
-    gemm_bt_accumulate(a, b, c, m, k, n);
+    simd::gemm_bt_acc(a, b, c, m, k, n);
     return;
   }
   par::parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    gemm_bt_accumulate(a + i0 * k, b, c + i0 * n, i1 - i0, k, n);
+    simd::gemm_bt_acc(a + i0 * k, b, c + i0 * n, i1 - i0, k, n);
   });
 }
 
@@ -128,7 +74,7 @@ void gemm_bt_dispatch(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_at_dispatch(const float* a, const float* b, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n) {
   if (m * k * n < kParFlopThreshold) {
-    gemm_at_accumulate(a, b, c, m, k, n);
+    gemm_at_rows(a, b, c, m, k, n, 0, k);
     return;
   }
   par::parallel_for(0, k, kRowGrain, [&](std::int64_t p0, std::int64_t p1) {
@@ -192,8 +138,8 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
         batch * m * k * n < kParFlopThreshold ? batch : 1;
     par::parallel_for(0, batch, grain, [&](std::int64_t b0, std::int64_t b1) {
       for (std::int64_t i = b0; i < b1; ++i) {
-        gemm_accumulate(a.data() + i * m * k, b.data() + i * k * n,
-                        out.data() + i * m * n, m, k, n);
+        simd::gemm_acc(a.data() + i * m * k, k, 1, b.data() + i * k * n,
+                       out.data() + i * m * n, m, k, n);
       }
     });
   }
@@ -212,10 +158,10 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
         par::parallel_for(
             0, batch, grain, [&](std::int64_t b0, std::int64_t b1) {
               for (std::int64_t i = b0; i < b1; ++i) {
-                gemm_bt_accumulate(g.data() + i * m * n, b.data() + i * k * n,
-                                   ga.data() + i * m * k, m, n, k);
-                gemm_at_accumulate(a.data() + i * m * k, g.data() + i * m * n,
-                                   gb.data() + i * k * n, m, k, n);
+                simd::gemm_bt_acc(g.data() + i * m * n, b.data() + i * k * n,
+                                  ga.data() + i * m * k, m, n, k);
+                gemm_at_rows(a.data() + i * m * k, g.data() + i * m * n,
+                             gb.data() + i * k * n, m, k, n, 0, k);
               }
             });
         return std::vector<Tensor>{ga, gb};

@@ -38,6 +38,11 @@ float dot8(const float* a, const float* b, std::int64_t n);
 float sum8f(const float* x, std::int64_t n);
 double sum8(const float* x, std::int64_t n);
 double sumsq8(const float* x, std::int64_t n);
+void gemm_acc(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+              const float* b, float* c, std::int64_t m, std::int64_t k,
+              std::int64_t n);
+void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n);
 }  // namespace avx2
 #endif
 
@@ -157,6 +162,25 @@ double scalar_sumsq8(const float* x, std::int64_t n) {
     total = total + static_cast<double>(sq);
   }
   return total;
+}
+
+void scalar_gemm_acc(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+                     const float* b, float* c, std::int64_t m, std::int64_t k,
+                     std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      scalar_axpy_n(a[i * a_rs + p * a_cs], b + p * n, c + i * n, n);
+    }
+  }
+}
+
+void scalar_gemm_bt_acc(const float* a, const float* b, float* c,
+                        std::int64_t m, std::int64_t k, std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      c[i * n + j] = c[i * n + j] + scalar_dot8(a + i * k, b + j * k, k);
+    }
+  }
 }
 
 // ---- Level selection ----
@@ -320,7 +344,8 @@ void clamp_n(const float* a, float lo, float hi, float* o, std::int64_t n) {
   TX_SIMD_DISPATCH(clamp_n, a, lo, hi, o, n);
 }
 void copy_n(const float* src, float* dst, std::int64_t n) {
-  std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
+  // An empty buffer's data() may be null, which memcpy must never receive.
+  if (n > 0) std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
 }
 float dot8(const float* a, const float* b, std::int64_t n) {
   TX_SIMD_DISPATCH(dot8, a, b, n);
@@ -329,6 +354,15 @@ float sum8f(const float* x, std::int64_t n) { TX_SIMD_DISPATCH(sum8f, x, n); }
 double sum8(const float* x, std::int64_t n) { TX_SIMD_DISPATCH(sum8, x, n); }
 double sumsq8(const float* x, std::int64_t n) {
   TX_SIMD_DISPATCH(sumsq8, x, n);
+}
+void gemm_acc(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+              const float* b, float* c, std::int64_t m, std::int64_t k,
+              std::int64_t n) {
+  TX_SIMD_DISPATCH(gemm_acc, a, a_rs, a_cs, b, c, m, k, n);
+}
+void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n) {
+  TX_SIMD_DISPATCH(gemm_bt_acc, a, b, c, m, k, n);
 }
 
 #undef TX_SIMD_DISPATCH

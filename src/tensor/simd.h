@@ -55,7 +55,7 @@ void min_n(const float* a, const float* b, float* o, std::int64_t n);
 // o[i] = a[i] * b[i] + c[i], rounded twice (no FMA).
 void mul_add_n(const float* a, const float* b, const float* c, float* o,
                std::int64_t n);
-// o[i] += s * x[i], rounded twice (no FMA). The GEMM inner loop.
+// o[i] += s * x[i], rounded twice (no FMA).
 void axpy_n(float s, const float* x, float* o, std::int64_t n);
 // o[i] = s * a[i].
 void scale_n(const float* a, float s, float* o, std::int64_t n);
@@ -75,5 +75,20 @@ float sum8f(const float* x, std::int64_t n);
 double sum8(const float* x, std::int64_t n);
 // Double accumulation of a[i]^2 (square rounded in float, promoted exactly).
 double sumsq8(const float* x, std::int64_t n);
+
+// --- GEMM micro-kernels (every tensor-level matrix product runs on these) ---
+// C(m,n) += A(m,k) * B(k,n) with A[i][p] = a[i * a_rs + p * a_cs], so A may be
+// row-major (a_rs = k, a_cs = 1) or a transposed view (a_rs = 1, a_cs = m);
+// B and C are row-major with leading dimension n. Every cell adds one
+// product per p, p ascending, c = c + a*b rounded twice: the same sequence
+// as k axpy_n calls per output row. Vector levels hold tiles of C in
+// registers across the whole p loop.
+void gemm_acc(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+              const float* b, float* c, std::int64_t m, std::int64_t k,
+              std::int64_t n);
+// C(m,n) += A(m,k) * B(n,k)^T, A and B row-major with leading dimension k:
+// c[i][j] = c[i][j] + dot8(A row i, B row j, k), one canonical dot per cell.
+void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n);
 
 }  // namespace tx::simd

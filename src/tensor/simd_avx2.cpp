@@ -237,6 +237,141 @@ double sumsq8(const float* x, std::int64_t n) {
   return total;
 }
 
+namespace {
+
+// One R x (8 * V) tile of C += A * B, held in R * V registers across the
+// whole p loop. Every lane does c = c + a*b per p, p ascending, which is the
+// axpy_n sequence. Masked tiles (V == 1) cover the last n % 8 columns; their
+// dead lanes load zeros and are never stored.
+template <int R, int V, bool kMasked>
+inline void gemm_tile(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+                      const float* b, float* c, std::int64_t k, std::int64_t n,
+                      __m256i mask) {
+  __m256 acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = kMasked ? _mm256_maskload_ps(c + r * n, mask)
+                          : _mm256_loadu_ps(c + r * n + 8 * v);
+    }
+  }
+  for (std::int64_t p = 0; p < k; ++p) {
+    const float* bp = b + p * n;
+    const float* ap = a + p * a_cs;
+    __m256 bv[V];
+    for (int v = 0; v < V; ++v) {
+      bv[v] = kMasked ? _mm256_maskload_ps(bp, mask) : _mm256_loadu_ps(bp + 8 * v);
+    }
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * a_rs);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      if (kMasked) {
+        _mm256_maskstore_ps(c + r * n, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(c + r * n + 8 * v, acc[r][v]);
+      }
+    }
+  }
+}
+
+// All m rows of one column strip, four rows per tile.
+template <int V, bool kMasked>
+void gemm_strip(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+                const float* b, float* c, std::int64_t m, std::int64_t k,
+                std::int64_t n, __m256i mask) {
+  std::int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    gemm_tile<4, V, kMasked>(a + i * a_rs, a_rs, a_cs, b, c + i * n, k, n,
+                             mask);
+  }
+  const float* ai = a + i * a_rs;
+  float* ci = c + i * n;
+  switch (m - i) {
+    case 3:
+      gemm_tile<3, V, kMasked>(ai, a_rs, a_cs, b, ci, k, n, mask);
+      break;
+    case 2:
+      gemm_tile<2, V, kMasked>(ai, a_rs, a_cs, b, ci, k, n, mask);
+      break;
+    case 1:
+      gemm_tile<1, V, kMasked>(ai, a_rs, a_cs, b, ci, k, n, mask);
+      break;
+    default:
+      break;
+  }
+}
+
+}  // namespace
+
+void gemm_acc(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+              const float* b, float* c, std::int64_t m, std::int64_t k,
+              std::int64_t n) {
+  // Column strips outermost, so one k x 16 strip of B stays hot while every
+  // row tile streams over it.
+  const __m256i all = _mm256_set1_epi32(-1);
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    gemm_strip<2, false>(a, a_rs, a_cs, b + j, c + j, m, k, n, all);
+  }
+  if (j + 8 <= n) {
+    gemm_strip<1, false>(a, a_rs, a_cs, b + j, c + j, m, k, n, all);
+    j += 8;
+  }
+  if (j < n) {
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - j)), lanes);
+    gemm_strip<1, true>(a, a_rs, a_cs, b + j, c + j, m, k, n, mask);
+  }
+}
+
+void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n) {
+  const std::int64_t main_k = k & ~std::int64_t{7};
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    std::int64_t j = 0;
+    // Four canonical dots at once over shared loads of A's row: lane l of
+    // acc[q] folds elements l, l+8, ... of row j+q, exactly as dot8 does.
+    for (; j + 4 <= n; j += 4) {
+      const float* b0 = b + j * k;
+      const float* b1 = b0 + k;
+      const float* b2 = b1 + k;
+      const float* b3 = b2 + k;
+      __m256 acc0 = _mm256_setzero_ps();
+      __m256 acc1 = _mm256_setzero_ps();
+      __m256 acc2 = _mm256_setzero_ps();
+      __m256 acc3 = _mm256_setzero_ps();
+      for (std::int64_t p = 0; p < main_k; p += 8) {
+        const __m256 va = _mm256_loadu_ps(arow + p);
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(b0 + p)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(b1 + p)));
+        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(b2 + p)));
+        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(b3 + p)));
+      }
+      // The canonical tree for all four at once: two rounds of pairwise
+      // hadd give (p0+p1)+(p2+p3) in the low half and (p4+p5)+(p6+p7) in
+      // the high half of lane q; adding the halves finishes the tree.
+      const __m256 h = _mm256_hadd_ps(_mm256_hadd_ps(acc0, acc1),
+                                      _mm256_hadd_ps(acc2, acc3));
+      __m128 total = _mm_add_ps(_mm256_castps256_ps128(h),
+                                _mm256_extractf128_ps(h, 1));
+      for (std::int64_t p = main_k; p < k; ++p) {
+        const __m128 bq = _mm_setr_ps(b0[p], b1[p], b2[p], b3[p]);
+        total = _mm_add_ps(total, _mm_mul_ps(_mm_set1_ps(arow[p]), bq));
+      }
+      _mm_storeu_ps(crow + j, _mm_add_ps(_mm_loadu_ps(crow + j), total));
+    }
+    for (; j < n; ++j) crow[j] = crow[j] + dot8(arow, b + j * k, k);
+  }
+}
+
 }  // namespace tx::simd::avx2
 
 #endif  // TX_SIMD_BUILD_AVX2

@@ -868,6 +868,65 @@ std::vector<float> zeros_of(std::int64_t n) {
   return std::vector<float>(static_cast<std::size_t>(n), 0.0f);
 }
 
+/// Values across many exponents with exact zeros of both signs, so the
+/// kernels' handling of -0 accumulations is pinned too.
+std::vector<float> gemm_data(std::int64_t n, std::mt19937_64& eng) {
+  std::uniform_real_distribution<float> mant(-1.0f, 1.0f);
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (auto& x : v) {
+    const auto roll = eng() % 16;
+    x = roll == 0 ? 0.0f
+        : roll == 1
+            ? -0.0f
+            : std::ldexp(mant(eng), static_cast<int>(eng() % 17) - 8);
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(GemmReference, KernelsMatchAxpyDotLoopsAtEveryTileTail) {
+  LevelThreadsGuard guard;
+  std::mt19937_64 eng(204);
+  const std::int64_t ns[] = {1, 7, 8, 9, 15, 16, 17, 33, 50, 256};
+  const std::int64_t ks[] = {0, 1, 7, 8, 9, 72, 784};
+  for (std::int64_t m = 1; m <= 9; ++m) {
+    for (const std::int64_t n : ns) {
+      for (const std::int64_t k : ks) {
+        const std::vector<float> a = gemm_data(m * k, eng);
+        const std::vector<float> b = gemm_data(k * n, eng);
+        const std::vector<float> bt = gemm_data(n * k, eng);
+        const std::vector<float> c0 = gemm_data(m * n, eng);
+        // A row-major (m, k), and A stored transposed as (k, m).
+        std::vector<float> want_rm = c0, want_tr = c0, want_bt = c0;
+        ref_gemm(a.data(), k, 1, b.data(), want_rm.data(), m, k, n);
+        ref_gemm(a.data(), 1, m, b.data(), want_tr.data(), m, k, n);
+        ref_gemm_bt(a.data(), bt.data(), want_bt.data(), m, k, n);
+        for (const simd::Level lvl :
+             {simd::Level::kScalar, simd::Level::kAVX2, simd::Level::kNEON}) {
+          if (!simd::level_available(lvl)) continue;
+          simd::set_level_for_testing(lvl);
+          const std::string what = "level " +
+                                   std::to_string(static_cast<int>(lvl)) +
+                                   shape_str({m, k, n});
+          std::vector<float> got = c0;
+          simd::gemm_acc(a.data(), k, 1, b.data(), got.data(), m, k, n);
+          EXPECT_TRUE(same_bits(got, want_rm)) << "gemm_acc row-major " << what;
+          got = c0;
+          simd::gemm_acc(a.data(), 1, m, b.data(), got.data(), m, k, n);
+          EXPECT_TRUE(same_bits(got, want_tr)) << "gemm_acc transposed " << what;
+          got = c0;
+          simd::gemm_bt_acc(a.data(), bt.data(), got.data(), m, k, n);
+          EXPECT_TRUE(same_bits(got, want_bt)) << "gemm_bt_acc " << what;
+        }
+      }
+    }
+  }
+}
+
 /// Leaf copy of `t` that records gradients.
 Tensor grad_leaf(const Tensor& t) {
   Tensor x = t.detach();
