@@ -79,9 +79,10 @@ std::pair<std::int64_t, std::int64_t> inside_range(std::int64_t offset,
   return {lo, std::max(lo, hi)};
 }
 
-/// Expand one image (ic, ih, iw) into columns (ic*kh*kw, oh*ow). The valid
-/// output range is computed once per (c, ky, kx): rows whose input row is
-/// padding are zero-filled, stride-1 rows are contiguous copies.
+/// Expand one image (ic, ih, iw) into columns (ic*kh*kw, oh*ow). The
+/// in-bounds output range is computed once per (c, ky, kx): a column row that
+/// touches padding is zeroed whole, then each in-bounds span is copied,
+/// contiguously at stride 1. No element is bounds-tested.
 void im2col(const float* img, const ConvDims& d, float* cols) {
   const std::int64_t spatial = d.oh * d.ow;
   for (std::int64_t c = 0; c < d.ic; ++c) {
@@ -91,25 +92,21 @@ void im2col(const float* img, const ConvDims& d, float* cols) {
         const auto [x0, x1] =
             inside_range(kx - d.padding, d.stride, d.iw, d.ow);
         float* dst = cols + ((c * d.kh + ky) * d.kw + kx) * spatial;
-        std::fill(dst, dst + y0 * d.ow, 0.0f);
-        for (std::int64_t oy = y0; oy < y1; ++oy) {
-          float* out = dst + oy * d.ow;
-          std::fill(out, out + x0, 0.0f);
-          if (x1 > x0) {
-            const std::int64_t iy = oy * d.stride + ky - d.padding;
-            const float* src =
-                img + (c * d.ih + iy) * d.iw + x0 * d.stride + kx - d.padding;
-            if (d.stride == 1) {
-              std::copy(src, src + (x1 - x0), out + x0);
-            } else {
-              for (std::int64_t ox = x0; ox < x1; ++ox) {
-                out[ox] = src[(ox - x0) * d.stride];
-              }
-            }
-          }
-          std::fill(out + x1, out + d.ow, 0.0f);
+        if (y1 - y0 < d.oh || x1 - x0 < d.ow) {
+          std::fill(dst, dst + spatial, 0.0f);
         }
-        std::fill(dst + y1 * d.ow, dst + spatial, 0.0f);
+        const std::int64_t len = x1 - x0;
+        for (std::int64_t oy = y0; oy < y1 && len > 0; ++oy) {
+          const std::int64_t iy = oy * d.stride + ky - d.padding;
+          const float* src =
+              img + (c * d.ih + iy) * d.iw + x0 * d.stride + kx - d.padding;
+          float* out = dst + oy * d.ow + x0;
+          if (d.stride == 1) {
+            for (std::int64_t t = 0; t < len; ++t) out[t] = src[t];
+          } else {
+            for (std::int64_t t = 0; t < len; ++t) out[t] = src[t * d.stride];
+          }
+        }
       }
     }
   }
@@ -132,8 +129,12 @@ void col2im(const float* cols, const ConvDims& d, float* img) {
           const float* in = src + oy * d.ow;
           float* out =
               img + (c * d.ih + iy) * d.iw + x0 * d.stride + kx - d.padding;
-          for (std::int64_t ox = x0; ox < x1; ++ox) {
-            out[(ox - x0) * d.stride] += in[ox];
+          if (d.stride == 1) {
+            for (std::int64_t ox = x0; ox < x1; ++ox) out[ox - x0] += in[ox];
+          } else {
+            for (std::int64_t ox = x0; ox < x1; ++ox) {
+              out[(ox - x0) * d.stride] += in[ox];
+            }
           }
         }
       }
