@@ -10,8 +10,9 @@
 //
 // The gemms run on the tx::simd micro-kernels (gemm_acc / gemm_bt_acc), which
 // evaluate the same canonical arithmetic at every dispatch level, so conv
-// results are also bitwise identical across TYXE_SIMD settings. Output buffers come from
-// tx::alloc; per-worker im2col scratch stays plain (never tensor-adopted).
+// results are also bitwise identical across TYXE_SIMD settings. Output
+// buffers come from tx::alloc; per-worker im2col scratch stays plain (never
+// tensor-adopted).
 #include <algorithm>
 #include <limits>
 #include <utility>
@@ -82,7 +83,7 @@ std::pair<std::int64_t, std::int64_t> inside_range(std::int64_t offset,
 /// Expand one image (ic, ih, iw) into columns (ic*kh*kw, oh*ow). The
 /// in-bounds output range is computed once per (c, ky, kx): a column row that
 /// touches padding is zeroed whole, then each in-bounds span is copied,
-/// contiguously at stride 1. No element is bounds-tested.
+/// contiguously at stride 1.
 void im2col(const float* img, const ConvDims& d, float* cols) {
   const std::int64_t spatial = d.oh * d.ow;
   for (std::int64_t c = 0; c < d.ic; ++c) {
@@ -96,7 +97,8 @@ void im2col(const float* img, const ConvDims& d, float* cols) {
           std::fill(dst, dst + spatial, 0.0f);
         }
         const std::int64_t len = x1 - x0;
-        for (std::int64_t oy = y0; oy < y1 && len > 0; ++oy) {
+        if (len == 0) continue;
+        for (std::int64_t oy = y0; oy < y1; ++oy) {
           const std::int64_t iy = oy * d.stride + ky - d.padding;
           const float* src =
               img + (c * d.ih + iy) * d.iw + x0 * d.stride + kx - d.padding;
@@ -112,8 +114,9 @@ void im2col(const float* img, const ConvDims& d, float* cols) {
   }
 }
 
-/// Scatter columns (ic*kh*kw, oh*ow) back into an image, accumulating in
-/// the same (c, ky, kx, oy, ox) order as a per-element bounds-tested walk.
+/// Scatter columns (ic*kh*kw, oh*ow) back into an image, accumulating over
+/// the in-bounds range in (c, ky, kx, oy, ox) order: that order fixes the
+/// sequence of additions each input cell receives.
 void col2im(const float* cols, const ConvDims& d, float* img) {
   const std::int64_t spatial = d.oh * d.ow;
   for (std::int64_t c = 0; c < d.ic; ++c) {

@@ -345,7 +345,9 @@ void clamp_n(const float* a, float lo, float hi, float* o, std::int64_t n) {
 }
 void copy_n(const float* src, float* dst, std::int64_t n) {
   // An empty buffer's data() may be null, which memcpy must never receive.
-  if (n > 0) std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
+  if (n > 0) {
+    std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
+  }
 }
 float dot8(const float* a, const float* b, std::int64_t n) {
   TX_SIMD_DISPATCH(dot8, a, b, n);

@@ -259,7 +259,8 @@ inline void gemm_tile(const float* a, std::int64_t a_rs, std::int64_t a_cs,
     const float* ap = a + p * a_cs;
     __m256 bv[V];
     for (int v = 0; v < V; ++v) {
-      bv[v] = kMasked ? _mm256_maskload_ps(bp, mask) : _mm256_loadu_ps(bp + 8 * v);
+      bv[v] = kMasked ? _mm256_maskload_ps(bp, mask)
+                      : _mm256_loadu_ps(bp + 8 * v);
     }
     for (int r = 0; r < R; ++r) {
       const __m256 av = _mm256_broadcast_ss(ap + r * a_rs);

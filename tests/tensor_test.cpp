@@ -917,7 +917,8 @@ TEST(GemmReference, KernelsMatchAxpyDotLoopsAtEveryTileTail) {
           EXPECT_TRUE(same_bits(got, want_rm)) << "gemm_acc row-major " << what;
           got = c0;
           simd::gemm_acc(a.data(), 1, m, b.data(), got.data(), m, k, n);
-          EXPECT_TRUE(same_bits(got, want_tr)) << "gemm_acc transposed " << what;
+          EXPECT_TRUE(same_bits(got, want_tr))
+              << "gemm_acc transposed " << what;
           got = c0;
           simd::gemm_bt_acc(a.data(), bt.data(), got.data(), m, k, n);
           EXPECT_TRUE(same_bits(got, want_bt)) << "gemm_bt_acc " << what;
@@ -935,7 +936,9 @@ Tensor grad_leaf(const Tensor& t) {
 }
 
 /// Seeds `y`'s gradient with exactly `g`: d(sum(y * g))/dy = 1 * g.
-void backward_with(const Tensor& y, const Tensor& g) { sum(mul(y, g)).backward(); }
+void backward_with(const Tensor& y, const Tensor& g) {
+  sum(mul(y, g)).backward();
+}
 
 void check_matmul(RefRng& rng, std::int64_t m, std::int64_t k, std::int64_t n) {
   const Tensor a = rng.values({m, k});
@@ -973,7 +976,8 @@ TEST(GemmReference, MatmulForwardBackwardMatchAxpyDotLoops) {
 TEST(GemmReference, BmmForwardBackwardMatchAxpyDotLoops) {
   RefRng rng(202);
   const std::int64_t shapes[][4] = {
-      {1, 3, 4, 5}, {3, 4, 5, 6}, {2, 9, 1, 17}, {4, 20, 30, 40}, {3, 33, 64, 17}};
+      {1, 3, 4, 5},    {3, 4, 5, 6},     {2, 9, 1, 17},
+      {4, 20, 30, 40}, {3, 33, 64, 17}};
   for (const auto& s : shapes) {
     const std::int64_t batch = s[0], m = s[1], k = s[2], n = s[3];
     const Tensor a = rng.values({batch, m, k});
@@ -1081,7 +1085,8 @@ void ref_im2col(const float* img, const RefConv& d, float* cols) {
           for (std::int64_t ox = 0; ox < ow; ++ox) {
             const std::int64_t ix = ox * d.stride + kx - d.padding;
             const bool inside = iy >= 0 && iy < d.ih && ix >= 0 && ix < d.iw;
-            dst[oy * ow + ox] = inside ? img[(c * d.ih + iy) * d.iw + ix] : 0.0f;
+            dst[oy * ow + ox] =
+                inside ? img[(c * d.ih + iy) * d.iw + ix] : 0.0f;
           }
         }
       }
