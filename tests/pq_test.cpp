@@ -2,11 +2,16 @@
 // metrics/pq_feed reduction layer: bitwise agreement with the batch
 // tx::metrics functions, the entropy decomposition identity, binned OOD
 // AUROC, thread-shard merge completeness, stream scopes, the --pq bench
-// flag, non-intrusion on the predict path, and the end-to-end feed through
-// SupervisedBNN::evaluate (including the predict-path heartbeat).
+// flag, non-intrusion on the predict path, the end-to-end feed through
+// SupervisedBNN::evaluate (including the predict-path heartbeat), and the
+// snapshot's prof-then-pq sections when both are fed from pool workers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "metrics/pq_feed.h"
 #include "obs/flags.h"
 #include "obs/obs.h"
+#include "par/pool.h"
 
 namespace tx::obs::pq {
 namespace {
@@ -278,6 +284,78 @@ TEST(PqEndToEnd, PredictIsBitwiseIdenticalWithPqOnAndOff) {
                                    << " changed when pq was enabled";
   }
   EXPECT_EQ(examples("nonintrusion/test"), 6);
+}
+
+// ---- both sharded streams in one snapshot ---------------------------------
+
+/// Feed prof churn and pq streams from tx::par at `threads` threads with no
+/// flush by the caller: the pool must drain every worker's shards before
+/// parallel_for returns. With more than one thread, each chunk waits until a
+/// second chunk has started, so pool workers take part and not only the
+/// caller. The fed values are dyadic, so the double sums are exact whichever
+/// worker merges first. Returns how many threads ran chunks.
+std::size_t feed_from_pool(int threads) {
+  par::set_num_threads(threads);
+  prof::reset();
+  reset();
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::set<std::thread::id> ran;
+  ScopedTimer span("pin");
+  par::parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ran.insert(std::this_thread::get_id());
+    }
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (threads > 1 && started.load() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    for (std::int64_t i = b; i < e; ++i) {
+      prof::on_alloc(std::int64_t{64} << (i % 8));
+      StreamScope scope(i % 2 == 0 ? "pin/test" : "pin/ood");
+      record_prediction(i % 2 == 0 ? 0.875f : 0.125f, 0.5, 0.25);
+      record_outcome(0.75f, i % 3 == 0, 1.0f, 0.125);
+      record_sample_pool(4, 0.0625, 1);
+    }
+  });
+  return ran.size();
+}
+
+TEST(ShardedStreams, SnapshotHoldsProfThenPqFedFromPoolWorkers) {
+  PqGuard guard;
+  obs::set_enabled(true);
+  registry().clear();
+  prof::set_enabled(true);
+  EXPECT_EQ(feed_from_pool(1), 1u);
+  const auto churn_1t = prof::churn_table();
+  const std::string pq_1t = section_json("  ");
+  EXPECT_GE(feed_from_pool(4), 2u);
+  // Freeze prof's enabled-seconds so its section renders the same twice.
+  prof::set_enabled(false);
+  ASSERT_FALSE(churn_1t.empty());
+  EXPECT_TRUE(prof::churn_table() == churn_1t);
+  EXPECT_EQ(section_json("  "), pq_1t);
+
+  const std::string doc = EventSink::render_snapshot_json("pin");
+  const std::string tail = ",\n  \"prof\": " + prof::section_json("  ") +
+                           ",\n  \"pq\": " + section_json("  ") + "\n}\n";
+  ASSERT_GE(doc.size(), tail.size());
+  EXPECT_EQ(doc.substr(doc.size() - tail.size()), tail);
+  const auto gauges = registry().gauges();
+  for (const char* name :
+       {"prof.kernels", "prof.kernel_flops", "prof.attributed_bytes",
+        "prof.steps", "pq.streams", "pq.examples.pin/test",
+        "pq.ece.pin/ood", "pq.ood_auroc.pin"}) {
+    EXPECT_EQ(gauges.count(name), 1u) << name;
+  }
+
+  prof::reset();
+  par::set_num_threads(1);
+  registry().clear();
 }
 
 }  // namespace
