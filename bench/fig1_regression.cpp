@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   // TYXE_PROF. See docs/observability.md.
   const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
   const std::string& trace_path = obs_flags.trace_path;
-  if (obs_flags.prof) tx::obs::prof::set_enabled(true);
   tx::obs::manifest::set_field("seed", static_cast<std::int64_t>(seed));
 
   // --obs-http[=PORT] / TYXE_OBS_HTTP: live telemetry for the whole run

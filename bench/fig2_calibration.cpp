@@ -10,7 +10,6 @@
 #include "obs/live.h"
 #include "obs/manifest.h"
 #include "obs/pq.h"
-#include "obs/prof.h"
 #include "ppl/diag.h"
 #include "ppl/messenger.h"
 #include "table1_harness.h"
@@ -26,8 +25,6 @@ int main(int argc, char** argv) {
   // docs/observability.md.
   const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
   const std::string& diag_path = obs_flags.diag_path;
-  if (obs_flags.prof) tx::obs::prof::set_enabled(true);
-  if (obs_flags.pq) tx::obs::pq::set_enabled(true);
 
   // --obs-http[=PORT] / TYXE_OBS_HTTP: live telemetry for the whole run
   // (/metrics, /healthz, /snapshot, /manifest); read-only, so results stay

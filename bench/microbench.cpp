@@ -10,7 +10,6 @@
 #include "obs/diag.h"
 #include "obs/event_sink.h"
 #include "obs/flags.h"
-#include "obs/prof.h"
 #include "par/par.h"
 #include "ppl/diag.h"
 #include "resil/io.h"
@@ -301,8 +300,7 @@ BENCHMARK(BM_MultiParticleElboThreads)->Arg(1)->Arg(2)->Arg(4);
 // counts are time-adaptive, so prof aggregates here are machine-dependent;
 // scripts/bench_diff.py compares this file with --no-gate-counts.
 int main(int argc, char** argv) {
-  const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
-  if (obs_flags.prof) tx::obs::prof::set_enabled(true);
+  tx::obs::parse_bench_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   // kernel roofline / churn "prof" section to BENCH_par_scaling.json.
   const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
   const std::string& trace_path = obs_flags.trace_path;
-  if (obs_flags.prof) tx::obs::prof::set_enabled(true);
   if (!trace_path.empty()) {
     tx::obs::set_trace_thread_name("main");
     tx::obs::start_tracing();

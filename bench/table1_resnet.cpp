@@ -8,18 +8,14 @@
 #include "obs/flags.h"
 #include "obs/live.h"
 #include "obs/manifest.h"
-#include "obs/pq.h"
-#include "obs/prof.h"
 #include "table1_harness.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   // Shared observability switches (--trace/--diag/--prof/--pq/--obs-http),
-  // same surface as fig1/fig2/par_scaling. parse_bench_flags also audits
-  // TYXE_* env vars and freezes the run manifest.
+  // same surface as fig1/fig2/par_scaling. parse_bench_flags also switches
+  // prof/pq on, audits TYXE_* env vars and freezes the run manifest.
   const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
-  if (obs_flags.prof) tx::obs::prof::set_enabled(true);
-  if (obs_flags.pq) tx::obs::pq::set_enabled(true);
   tx::obs::live::Server live_server({obs_flags.http_port, "table1_resnet"});
   if (obs_flags.http_port >= 0 && live_server.start()) {
     std::printf("obs-http: serving on http://127.0.0.1:%d\n",

@@ -40,8 +40,6 @@ void Welford::merge(const Welford& other) {
   count += other.count;
 }
 
-#ifndef TX_OBS_DISABLED
-
 namespace {
 
 constexpr std::size_t kMaxStepIndices = 1 << 20;  // snapshot "steps" cap
@@ -695,8 +693,6 @@ bool write_snapshot(const std::string& path, const std::string& bench_name) {
   }
   return true;
 }
-
-#endif  // TX_OBS_DISABLED
 
 std::string diag_path_from_args(int argc, char** argv) {
   return obs::detail::path_flag(argc, argv, "--diag", "TYXE_DIAG");

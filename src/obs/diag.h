@@ -20,10 +20,10 @@
 // the current trace span path) before the driver raises/continues.
 //
 // Everything is OFF by default: every hook is one relaxed atomic load while
-// disabled, and -DTX_OBS_DISABLED compiles the hooks away entirely. Enabled
-// updates take one process-global mutex — diagnostics run at step/transition
-// frequency, not kernel frequency, so contention is negligible even under
-// tx::par multi-chain MCMC (the CI TSan pass pins this down).
+// disabled. Enabled updates take one process-global mutex — diagnostics run
+// at step/transition frequency, not kernel frequency, so contention is
+// negligible even under tx::par multi-chain MCMC (the CI TSan pass pins
+// this down).
 //
 // The subsystem is tensor-free by design: messengers and drivers reduce
 // values to scalars before they reach this layer, so tx_obs keeps its
@@ -82,8 +82,6 @@ struct SiteSpan {
   std::size_t begin = 0;
   std::size_t end = 0;
 };
-
-#ifndef TX_OBS_DISABLED
 
 /// Master switch. Defaults to off; while off every hook below is one relaxed
 /// atomic load and an early return.
@@ -188,48 +186,6 @@ void publish(MetricsRegistry& reg);
 /// Write the tx.diag.v1 snapshot document (see docs/observability.md).
 /// Returns false (and counts obs.sink_errors) on I/O failure.
 bool write_snapshot(const std::string& path, const std::string& bench_name);
-
-#else  // TX_OBS_DISABLED: every hook compiles to nothing.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline bool in_svi_step() { return false; }
-inline std::int64_t current_svi_step() { return -1; }
-inline void configure(Config) {}
-inline Config config() { return {}; }
-inline void reset() {}
-inline void svi_step_begin(std::int64_t) {}
-inline void record_site_value(const std::string&, double, double, double,
-                              std::int64_t, bool,
-                              const std::vector<double>& = {}) {}
-inline void record_site_kl(const std::string&, double) {}
-inline void record_param_grad(const std::string&, double, double, bool) {}
-inline void svi_step_end(double, double) {}
-inline void mcmc_record_transition(const std::vector<SiteSpan>&, int,
-                                   std::int64_t, bool, double, bool,
-                                   const std::vector<double>&,
-                                   const std::vector<double>&) {}
-inline void mcmc_record_divergence(const std::vector<SiteSpan>&,
-                                   const std::vector<double>&,
-                                   const std::vector<double>&,
-                                   const std::vector<double>&,
-                                   const std::vector<double>&, double,
-                                   double) {}
-inline void mcmc_update_site_health(const std::string&, double, double) {}
-inline std::int64_t records() { return 0; }
-inline std::int64_t nan_trips() { return 0; }
-inline std::int64_t forensic_dumps() { return 0; }
-inline std::string last_forensic_reason() { return ""; }
-inline std::string last_offending_site() { return ""; }
-inline bool force_forensic_dump(const std::string&, const std::string&) {
-  return false;
-}
-inline void publish(MetricsRegistry&) {}
-inline bool write_snapshot(const std::string&, const std::string&) {
-  return false;
-}
-
-#endif
 
 /// Resolve a diagnostics output path for a benchmark: `--diag <path>` on the
 /// command line wins, else the TYXE_DIAG environment variable, else "".

@@ -5,8 +5,7 @@
 
 #include "obs/manifest.h"
 #include "obs/mem.h"
-#include "obs/pq.h"
-#include "obs/prof.h"
+#include "obs/shard.h"
 
 namespace tx::obs {
 
@@ -22,13 +21,11 @@ std::string render_json_number(double v) {
 
 namespace {
 
-std::string render_number(double v) { return render_json_number(v); }
-
 std::string render_series(const std::vector<double>& xs) {
   std::string out = "[";
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (i > 0) out += ", ";
-    out += render_number(xs[i]);
+    out += render_json_number(xs[i]);
   }
   out += "]";
   return out;
@@ -60,7 +57,7 @@ std::string escape_json(const std::string& s) {
 }
 
 Event& Event::set(const std::string& key, double v) {
-  fields_.emplace_back(key, render_number(v));
+  fields_.emplace_back(key, render_json_number(v));
   return *this;
 }
 
@@ -115,88 +112,62 @@ std::string EventSink::render_snapshot_json(
     const std::string& bench_name, MetricsRegistry& reg,
     const std::map<std::string, std::vector<double>>& series) {
   mem::publish(reg);
-  const std::string prof_section = prof::section_json("  ");
-  if (!prof_section.empty()) prof::publish(reg);
-  const std::string pq_section = pq::section_json("  ");
-  if (!pq_section.empty()) pq::publish(reg);
+  std::vector<std::pair<const char*, std::string>> sections;
+  for (const ShardedStream& stream : sharded_streams()) {
+    std::string json = stream.section_json("  ");
+    if (json.empty()) continue;
+    stream.publish(reg);
+    sections.emplace_back(stream.key, std::move(json));
+  }
 
   std::string out;
   out += "{\n";
   out += "  \"bench\": \"" + escape_json(bench_name) + "\",\n";
   out += "  \"schema\": \"tx.obs.v1\",\n";
 
-  out += "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : reg.counters()) {
-    out += (first ? "\n" : ",\n");
-    out += "    \"" + escape_json(name) + "\": " + std::to_string(value);
-    first = false;
-  }
-  out += (first ? "" : "\n  ");
-  out += "},\n";
-
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : reg.gauges()) {
-    out += (first ? "\n" : ",\n");
-    out += "    \"" + escape_json(name) + "\": " + render_number(value);
-    first = false;
-  }
-  out += (first ? "" : "\n  ");
-  out += "},\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : reg.histograms()) {
-    out += (first ? "\n" : ",\n");
-    out += "    \"" + escape_json(name) + "\": {";
-    out += "\"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + render_number(h.sum);
-    out += ", \"mean\": " + render_number(h.mean());
-    out += ", \"min\": " + render_number(h.min);
-    out += ", \"max\": " + render_number(h.max);
-    out += ", \"p50\": " + render_number(h.quantile(0.5));
-    out += ", \"p90\": " + render_number(h.quantile(0.9));
-    out += ", \"p99\": " + render_number(h.quantile(0.99));
-    out += ", \"buckets\": [";
+  out += "  \"counters\": " +
+         render_json_object(reg.counters(), "  ",
+                            [](std::int64_t v) { return std::to_string(v); }) +
+         ",\n";
+  out += "  \"gauges\": " +
+         render_json_object(reg.gauges(), "  ", render_json_number) + ",\n";
+  const auto render_histogram = [](const auto& h) {
+    std::string o = "{\"count\": " + std::to_string(h.count);
+    o += ", \"sum\": " + render_json_number(h.sum);
+    o += ", \"mean\": " + render_json_number(h.mean());
+    o += ", \"min\": " + render_json_number(h.min);
+    o += ", \"max\": " + render_json_number(h.max);
+    o += ", \"p50\": " + render_json_number(h.quantile(0.5));
+    o += ", \"p90\": " + render_json_number(h.quantile(0.9));
+    o += ", \"p99\": " + render_json_number(h.quantile(0.99));
+    o += ", \"buckets\": [";
     for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      if (i > 0) out += ", ";
+      if (i > 0) o += ", ";
       // Log-bucketed histograms carry an explicit +inf overflow bound;
       // fixed-bucket ones leave the final overflow bucket boundless. Both
       // render as the string "inf" (JSON numbers cannot spell infinity).
       const bool finite_bound =
           i < h.bounds.size() && std::isfinite(h.bounds[i]);
-      out += "{\"le\": ";
-      out += finite_bound ? render_number(h.bounds[i]) : std::string("\"inf\"");
-      out += ", \"count\": " + std::to_string(h.bucket_counts[i]) + "}";
+      o += "{\"le\": ";
+      o += finite_bound ? render_json_number(h.bounds[i])
+                        : std::string("\"inf\"");
+      o += ", \"count\": " + std::to_string(h.bucket_counts[i]) + "}";
     }
-    out += "]}";
-    first = false;
-  }
-  out += (first ? "" : "\n  ");
-  out += "},\n";
-
-  out += "  \"series\": {";
-  first = true;
-  for (const auto& [name, values] : series) {
-    out += (first ? "\n" : ",\n");
-    out += "    \"" + escape_json(name) + "\": " + render_series(values);
-    first = false;
-  }
-  out += (first ? "" : "\n  ");
-  out += "},\n";
+    return o + "]}";
+  };
+  out += "  \"histograms\": " +
+         render_json_object(reg.histograms(), "  ", render_histogram) + ",\n";
+  out += "  \"series\": " + render_json_object(series, "  ", render_series) +
+         ",\n";
 
   // Run provenance — which build/SIMD level/thread count/environment
   // produced these numbers. bench_diff.py excludes it from metric diffs.
   out += "  \"manifest\": " + manifest::json("  ");
 
-  // The profiler and predictive-quality sections are optional so snapshots
-  // from runs without them keep their prior shape.
-  if (!prof_section.empty()) {
-    out += ",\n  \"prof\": " + prof_section;
-  }
-  if (!pq_section.empty()) {
-    out += ",\n  \"pq\": " + pq_section;
+  // Stream sections are optional so snapshots from runs without them keep
+  // their prior shape.
+  for (const auto& [key, json] : sections) {
+    out += ",\n  \"" + std::string(key) + "\": " + json;
   }
   out += "\n}\n";
   return out;

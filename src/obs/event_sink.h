@@ -25,6 +25,22 @@ std::string escape_json(const std::string& s);
 /// null, JSON's only honest spelling for them.
 std::string render_json_number(double v);
 
+/// `entries` (name -> value pairs) as a JSON object: one
+/// `"name": render(value)` line per entry, indented two spaces past
+/// `indent`, with the closing brace at `indent` ("{}" when empty).
+template <typename Entries, typename Render>
+std::string render_json_object(const Entries& entries,
+                               const std::string& indent, Render render) {
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [name, value] : entries) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += indent + "  \"" + escape_json(name) + "\": " + render(value);
+  }
+  return out + (first ? "" : "\n" + indent) + "}";
+}
+
 /// One structured record: ordered key/value pairs rendered as a JSON object.
 /// Values are stored pre-rendered (numbers round-trip via %.17g).
 class Event {
@@ -78,8 +94,8 @@ class EventSink {
 
   /// The same tx.obs.v1 document as a string — what write_snapshot writes
   /// and what the live telemetry server (obs/live.h) serves on /snapshot.
-  /// Includes the run manifest (obs/manifest.h) and, when the profiler ran,
-  /// the "prof" section.
+  /// Includes the run manifest (obs/manifest.h) and the section of every
+  /// sharded stream with data (obs/shard.h).
   static std::string render_snapshot_json(
       const std::string& bench_name, MetricsRegistry& reg = registry(),
       const std::map<std::string, std::vector<double>>& series = {});

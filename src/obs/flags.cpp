@@ -5,6 +5,8 @@
 #include <cstring>
 
 #include "obs/manifest.h"
+#include "obs/pq.h"
+#include "obs/prof.h"
 #include "util/env.h"
 
 namespace tx::obs {
@@ -32,6 +34,13 @@ int parse_http_port(const char* spec, const char* origin) {
   return static_cast<int>(port);
 }
 
+// The path operand of the path flag at argv[i], or nullptr when the flag is
+// last or followed by another flag ("--trace --prof" forgot the path).
+const char* path_operand(int argc, char** argv, int i) {
+  if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) return nullptr;
+  return argv[i + 1];
+}
+
 }  // namespace
 
 namespace detail {
@@ -40,9 +49,9 @@ std::string path_flag(int argc, char** argv, const char* flag,
                       const char* env) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) != 0) continue;
-    if (i + 1 < argc) return argv[i + 1];
-    // A trailing path flag means the path was forgotten; say so instead of
-    // silently running with the feature off.
+    if (const char* path = path_operand(argc, argv, i)) return path;
+    // The path was forgotten; say so instead of silently running with the
+    // feature off.
     std::fprintf(stderr, "warning: %s given without a path; falling back to %s\n",
                  flag, env);
     break;
@@ -65,7 +74,7 @@ BenchFlags parse_bench_flags(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 ||
         std::strcmp(argv[i], "--diag") == 0) {
-      if (i + 1 < argc) ++i;  // skip the path operand too
+      if (path_operand(argc, argv, i) != nullptr) ++i;  // and its path
       continue;
     }
     if (std::strcmp(argv[i], "--prof") == 0) {
@@ -118,6 +127,8 @@ BenchFlags parse_bench_flags(int& argc, char** argv) {
   // catch TYXE_* typos once, then freeze the run manifest.
   env::warn_unknown_once();
   manifest::capture();
+  if (flags.prof) prof::set_enabled(true);
+  if (flags.pq) pq::set_enabled(true);
   return flags;
 }
 

@@ -15,12 +15,12 @@
 //                      dump + 503 /healthz when the heartbeat goes stale
 //
 // parse_bench_flags recognizes them in one place (replacing per-bench
-// copies), warns on a trailing path flag with no path instead of silently
-// dropping it, falls back to the TYXE_TRACE / TYXE_DIAG / TYXE_PROF /
-// TYXE_PQ / TYXE_OBS_HTTP environment variables, and *strips* everything it
-// consumed
-// from argv so the remaining arguments can be handed to another parser
-// (e.g. google benchmark) without "unrecognized flag" failures.
+// copies), warns on a path flag with no path (last, or followed by another
+// --flag) instead of silently dropping it, falls back to the TYXE_TRACE /
+// TYXE_DIAG / TYXE_PROF / TYXE_PQ / TYXE_OBS_HTTP environment variables,
+// switches the prof and pq streams on itself, and *strips* everything it
+// consumed from argv so the remaining arguments can be handed to another
+// parser (e.g. google benchmark) without "unrecognized flag" failures.
 //
 // It is also the benches' startup hook: it audits the environment for
 // unrecognized TYXE_* variables (util/env.h) and captures the tx.manifest.v1
@@ -44,15 +44,17 @@ struct BenchFlags {
   bool watchdog = false;  ///< stall watchdog (--watchdog / TYXE_WATCHDOG=1)
 };
 
-/// Parse --trace/--diag/--prof out of argv (see file comment). Consumed
-/// arguments are removed in place and argc is updated; argv[0] and
-/// unrecognized arguments are preserved in order.
+/// Parse the flags above out of argv (see file comment) and enable
+/// obs::prof / obs::pq when asked. Consumed arguments are removed in place
+/// and argc is updated; argv[0] and unrecognized arguments are preserved in
+/// order.
 BenchFlags parse_bench_flags(int& argc, char** argv);
 
 namespace detail {
-/// Scan argv for `flag <path>`; a trailing `flag` with no path prints a
-/// warning naming the env fallback. Returns the path, else the non-empty
-/// value of `env`, else "". Non-stripping — shared by the legacy
+/// Scan argv for `flag <path>`; a `flag` that is last or followed by another
+/// `--flag` has no path and prints a warning naming the env fallback.
+/// Returns the path, else the non-empty value of `env`, else "".
+/// Non-stripping — shared by the legacy
 /// trace_path_from_args / diag_path_from_args entry points.
 std::string path_flag(int argc, char** argv, const char* flag,
                       const char* env);

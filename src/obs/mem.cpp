@@ -6,8 +6,6 @@
 
 namespace tx::obs::mem {
 
-#ifndef TX_OBS_DISABLED
-
 namespace {
 
 std::atomic<std::int64_t> g_live_tensors{0};
@@ -63,8 +61,6 @@ void reset_peak() {
   g_peak_bytes.store(g_live_bytes.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
 }
-
-#endif  // !TX_OBS_DISABLED
 
 void publish(MetricsRegistry& reg) {
   reg.gauge("mem.live_tensors").set(static_cast<double>(live_tensors()));

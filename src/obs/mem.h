@@ -5,8 +5,7 @@
 // buffer resize reports a byte delta. The module keeps live bytes, a
 // monotone high-water mark, and cumulative allocation totals, all as relaxed
 // atomics — a handful of uncontended atomic ops per tensor, cheap enough to
-// stay on unconditionally (the compile-time TX_OBS_DISABLED switch compiles
-// the hooks away entirely).
+// stay on unconditionally.
 //
 // The tracer (obs/trace.h) surfaces live_bytes as a Chrome-trace counter
 // track, ScopedTimer attributes per-span net allocation, and
@@ -21,8 +20,6 @@ class MetricsRegistry;
 }  // namespace tx::obs
 
 namespace tx::obs::mem {
-
-#ifndef TX_OBS_DISABLED
 
 /// A tensor storage object came into / went out of existence.
 void on_tensor_create();
@@ -44,19 +41,6 @@ std::int64_t total_allocated_bytes();
 /// Reset the high-water mark to the current live_bytes — lets a caller
 /// measure the peak footprint of one region (e.g. one HMC trajectory).
 void reset_peak();
-
-#else  // TX_OBS_DISABLED: every hook compiles to nothing.
-
-inline void on_tensor_create() {}
-inline void on_tensor_destroy() {}
-inline void on_bytes_delta(std::int64_t) {}
-inline std::int64_t live_tensors() { return 0; }
-inline std::int64_t live_bytes() { return 0; }
-inline std::int64_t peak_bytes() { return 0; }
-inline std::int64_t total_allocated_bytes() { return 0; }
-inline void reset_peak() {}
-
-#endif
 
 /// Mirror the current accounting into `reg` as gauges ("mem.live_tensors",
 /// "mem.live_bytes", "mem.peak_bytes", "mem.total_allocated_bytes").

@@ -4,19 +4,27 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 
 #include "obs/event_sink.h"
 #include "obs/registry.h"
+#include "obs/shard.h"
 #include "util/common.h"
 
 namespace tx::obs::pq {
 
 namespace {
 
-/// "<prefix>/test" -> prefix; "" when the label has no such suffix. Shared
-/// by section_json and publish (the latter compiles even when obs is
-/// disabled, so this helper lives outside the guard).
+std::atomic<bool> g_enabled{false};
+std::atomic<bool> g_any_data{false};
+
+std::mutex g_config_mu;
+Config g_config;
+
+// The calling thread's StreamScope label.
+thread_local std::string t_stream = "predict";
+
+/// "<prefix>/test" -> prefix; "" when the label has no such suffix.
 std::string test_prefix_of(const std::string& label) {
   const std::string suffix = "/test";
   if (label.size() <= suffix.size()) return "";
@@ -24,28 +32,6 @@ std::string test_prefix_of(const std::string& label) {
     return "";
   }
   return label.substr(0, label.size() - suffix.size());
-}
-
-}  // namespace
-
-#ifndef TX_OBS_DISABLED
-
-namespace {
-
-std::atomic<bool> g_enabled{false};
-
-/// Global state lives in a leaked singleton so thread-shard destructors
-/// running at any point of process teardown can still flush safely.
-struct Globals {
-  std::mutex mu;
-  Config config;
-  std::map<std::string, StreamStats> streams;
-  std::atomic<bool> any_data{false};
-};
-
-Globals& g() {
-  static Globals* globals = new Globals;
-  return *globals;
 }
 
 void size_stats(StreamStats& s, const Config& cfg) {
@@ -60,8 +46,12 @@ void size_stats(StreamStats& s, const Config& cfg) {
   }
 }
 
-void merge_stats(StreamStats& dst, const StreamStats& src, const Config& cfg) {
-  size_stats(dst, cfg);
+void merge_stats(StreamStats& dst, const StreamStats& src) {
+  // Every shard cell is sized under the current Config (configure drops
+  // them all), so a fresh table cell takes its shape from the shard cell
+  // without taking the config lock under the table lock.
+  size_stats(dst, {static_cast<int>(src.bin_count.size()),
+                   static_cast<int>(src.score_bins.size())});
   dst.examples += src.examples;
   dst.confidence_sum += src.confidence_sum;
   dst.predictive_entropy_sum += src.predictive_entropy_sum;
@@ -85,47 +75,38 @@ void merge_stats(StreamStats& dst, const StreamStats& src, const Config& cfg) {
   dst.degraded_batches += src.degraded_batches;
 }
 
-/// Per-thread shard: uncontended accumulation between flushes.
-struct ThreadShard {
-  std::unordered_map<std::string, StreamStats> streams;
-  std::string stream = "predict";
-
-  ~ThreadShard() { flush(); }
-
-  void flush() {
-    if (streams.empty()) return;
-    Globals& gl = g();
-    std::lock_guard<std::mutex> lock(gl.mu);
-    for (auto& [label, stats] : streams) {
-      merge_stats(gl.streams[label], stats, gl.config);
-    }
-    streams.clear();
-  }
-};
-
-ThreadShard& shard() {
-  thread_local ThreadShard s;
-  return s;
-}
+using Streams = ShardedTable<StreamStats, merge_stats>;
 
 StreamStats& shard_stream() {
-  ThreadShard& sh = shard();
-  StreamStats& stats = sh.streams[sh.stream];
+  StreamStats& stats = Streams::local(t_stream);
   if (stats.score_bins.empty()) {
-    Globals& gl = g();
-    std::lock_guard<std::mutex> lock(gl.mu);
-    size_stats(stats, gl.config);
-    gl.any_data.store(true, std::memory_order_relaxed);
+    size_stats(stats, config());
+    g_any_data.store(true, std::memory_order_relaxed);
   }
   return stats;
 }
 
-StreamStats stats_for(const std::string& stream) {
-  shard().flush();
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.mu);
-  auto it = gl.streams.find(stream);
-  return it != gl.streams.end() ? it->second : StreamStats{};
+/// `sum` over the labelled examples; zero when there are none.
+double per_labeled(const StreamStats& s, double sum) {
+  return s.labeled == 0 ? 0.0 : sum / static_cast<double>(s.labeled);
+}
+
+/// Bin-by-bin replica of tx::metrics::expected_calibration_error on the
+/// calibration_curve of the same data: per-bin means then a count-weighted
+/// |accuracy - confidence| sum, empty bins skipped.
+double ece_of(const StreamStats& s) {
+  if (s.labeled == 0) return 0.0;
+  const double n = static_cast<double>(s.labeled);
+  double ece = 0.0;
+  for (std::size_t b = 0; b < s.bin_count.size(); ++b) {
+    const std::int64_t count = s.bin_count[b];
+    if (count == 0) continue;
+    const double confidence =
+        s.bin_confidence_sum[b] / static_cast<double>(count);
+    const double accuracy = s.bin_accuracy_sum[b] / static_cast<double>(count);
+    ece += (static_cast<double>(count) / n) * std::fabs(accuracy - confidence);
+  }
+  return ece;
 }
 
 /// Binned Mann-Whitney U from two max-prob histograms; ties within a bin
@@ -148,52 +129,61 @@ double auroc_from_bins(const std::vector<std::int64_t>& pos,
   return u / (static_cast<double>(total_pos) * static_cast<double>(total_neg));
 }
 
+/// The AUROC of every "<p>/test" stream against its "<p>/ood" partner as
+/// (p, auroc) pairs, in stream-label order.
+std::vector<std::pair<std::string, double>> ood_aurocs(
+    const std::map<std::string, StreamStats>& streams) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& [label, s] : streams) {
+    const std::string prefix = test_prefix_of(label);
+    if (prefix.empty()) continue;
+    const auto ood = streams.find(prefix + "/ood");
+    if (ood == streams.end()) continue;
+    // OOD examples are the positives: an OOD detector scores *low*
+    // max-probability as suspicious, so AUROC is P(test score > ood score).
+    out.emplace_back(prefix,
+                     auroc_from_bins(s.score_bins, ood->second.score_bins));
+  }
+  return out;
+}
+
 }  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void set_enabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
-  if (on) g().any_data.store(true, std::memory_order_relaxed);
+  if (on) g_any_data.store(true, std::memory_order_relaxed);
 }
 
 void configure(const Config& config) {
   TX_CHECK(config.reliability_bins >= 1 && config.score_bins >= 1,
            "pq::configure: bin counts must be >= 1");
-  shard().streams.clear();
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.mu);
-  gl.config = config;
-  gl.streams.clear();
+  Streams::clear();
+  std::lock_guard<std::mutex> lock(g_config_mu);
+  g_config = config;
 }
 
 Config config() {
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.mu);
-  return gl.config;
+  std::lock_guard<std::mutex> lock(g_config_mu);
+  return g_config;
 }
 
 void reset() {
-  shard().streams.clear();
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.mu);
-  gl.streams.clear();
-  gl.any_data.store(enabled(), std::memory_order_relaxed);
+  Streams::clear();
+  g_any_data.store(enabled(), std::memory_order_relaxed);
 }
 
 bool has_data() {
-  return enabled() || g().any_data.load(std::memory_order_relaxed);
+  return enabled() || g_any_data.load(std::memory_order_relaxed);
 }
 
-StreamScope::StreamScope(std::string label) {
-  ThreadShard& sh = shard();
-  prev_ = std::move(sh.stream);
-  sh.stream = std::move(label);
-}
+StreamScope::StreamScope(std::string label)
+    : prev_(std::exchange(t_stream, std::move(label))) {}
 
-StreamScope::~StreamScope() { shard().stream = std::move(prev_); }
+StreamScope::~StreamScope() { t_stream = std::move(prev_); }
 
-const std::string& current_stream() { return shard().stream; }
+const std::string& current_stream() { return t_stream; }
 
 void record_prediction(float confidence, double predictive_entropy,
                        double aleatoric_entropy) {
@@ -249,64 +239,43 @@ void record_degraded_batch() {
   shard_stream().degraded_batches += 1;
 }
 
-void flush_thread_cache() { shard().flush(); }
+void flush_thread_cache() { Streams::flush(); }
 
 std::map<std::string, StreamStats> stream_table() {
-  shard().flush();
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.mu);
-  return gl.streams;
+  return Streams::snapshot();
 }
 
 std::int64_t examples(const std::string& stream) {
-  return stats_for(stream).examples;
+  return Streams::at(stream).examples;
 }
 
 std::int64_t labeled(const std::string& stream) {
-  return stats_for(stream).labeled;
+  return Streams::at(stream).labeled;
 }
 
 double streaming_ece(const std::string& stream) {
-  const StreamStats s = stats_for(stream);
-  if (s.labeled == 0) return 0.0;
-  // Bin-by-bin replica of tx::metrics::expected_calibration_error on the
-  // calibration_curve of the same data: per-bin means then a count-weighted
-  // |accuracy - confidence| sum, empty bins skipped.
-  const double n = static_cast<double>(s.labeled);
-  double ece = 0.0;
-  for (std::size_t b = 0; b < s.bin_count.size(); ++b) {
-    const std::int64_t count = s.bin_count[b];
-    if (count == 0) continue;
-    const double confidence =
-        s.bin_confidence_sum[b] / static_cast<double>(count);
-    const double accuracy = s.bin_accuracy_sum[b] / static_cast<double>(count);
-    ece += (static_cast<double>(count) / n) * std::fabs(accuracy - confidence);
-  }
-  return ece;
+  return ece_of(Streams::at(stream));
 }
 
 double streaming_nll(const std::string& stream) {
-  const StreamStats s = stats_for(stream);
-  if (s.labeled == 0) return 0.0;
-  return s.nll_sum / static_cast<double>(s.labeled);
+  const StreamStats s = Streams::at(stream);
+  return per_labeled(s, s.nll_sum);
 }
 
 double streaming_accuracy(const std::string& stream) {
-  const StreamStats s = stats_for(stream);
-  if (s.labeled == 0) return 0.0;
-  return static_cast<double>(s.correct) / static_cast<double>(s.labeled);
+  const StreamStats s = Streams::at(stream);
+  return per_labeled(s, static_cast<double>(s.correct));
 }
 
 double streaming_brier(const std::string& stream) {
-  const StreamStats s = stats_for(stream);
-  if (s.labeled == 0) return 0.0;
-  return s.brier_sum / static_cast<double>(s.labeled);
+  const StreamStats s = Streams::at(stream);
+  return per_labeled(s, s.brier_sum);
 }
 
 double ood_auroc(const std::string& pos_stream,
                  const std::string& neg_stream) {
-  return auroc_from_bins(stats_for(pos_stream).score_bins,
-                         stats_for(neg_stream).score_bins);
+  return auroc_from_bins(Streams::at(pos_stream).score_bins,
+                         Streams::at(neg_stream).score_bins);
 }
 
 std::string section_json(const std::string& indent) {
@@ -324,113 +293,86 @@ std::string section_json(const std::string& indent) {
          ",\n";
   out += in1 + "\"score_bins\": " + std::to_string(cfg.score_bins) + ",\n";
 
-  out += in1 + "\"streams\": {";
-  bool first = true;
-  for (const auto& [label, s] : streams) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += in2 + "\"" + escape_json(label) + "\": {\n";
-    out += in3 + "\"examples\": " + std::to_string(s.examples) + ",\n";
-    out += in3 + "\"labeled\": " + std::to_string(s.labeled) + ",\n";
-    out += in3 + "\"correct\": " + std::to_string(s.correct) + ",\n";
+  const auto render_stream = [&](const StreamStats& s) {
+    std::string o = "{\n";
+    o += in3 + "\"examples\": " + std::to_string(s.examples) + ",\n";
+    o += in3 + "\"labeled\": " + std::to_string(s.labeled) + ",\n";
+    o += in3 + "\"correct\": " + std::to_string(s.correct) + ",\n";
     if (s.examples > 0) {
       const double n = static_cast<double>(s.examples);
       const double pred = s.predictive_entropy_sum;
       const double alea = s.aleatoric_entropy_sum;
-      out += in3 + "\"confidence_mean\": " +
-             render_json_number(s.confidence_sum / n) + ",\n";
-      out += in3 + "\"entropy\": {\n";
-      out += in4 + "\"predictive_sum\": " + render_json_number(pred) + ",\n";
-      out += in4 + "\"aleatoric_sum\": " + render_json_number(alea) + ",\n";
-      out += in4 + "\"predictive_mean\": " + render_json_number(pred / n) +
-             ",\n";
-      out += in4 + "\"aleatoric_mean\": " + render_json_number(alea / n) +
-             ",\n";
+      o += in3 + "\"confidence_mean\": " +
+           render_json_number(s.confidence_sum / n) + ",\n";
+      o += in3 + "\"entropy\": {\n";
+      o += in4 + "\"predictive_sum\": " + render_json_number(pred) + ",\n";
+      o += in4 + "\"aleatoric_sum\": " + render_json_number(alea) + ",\n";
+      o += in4 + "\"predictive_mean\": " + render_json_number(pred / n) + ",\n";
+      o += in4 + "\"aleatoric_mean\": " + render_json_number(alea / n) + ",\n";
       // Epistemic (mutual information) is the difference of the sums, so
       // aleatoric_mean + epistemic_mean == predictive_mean to the rounding
       // of one division — validate_bench.py holds this to a ulp-scaled tol.
-      out += in4 + "\"epistemic_mean\": " +
-             render_json_number((pred - alea) / n) + "\n";
-      out += in3 + "},\n";
+      o += in4 + "\"epistemic_mean\": " +
+           render_json_number((pred - alea) / n) + "\n";
+      o += in3 + "},\n";
     }
     if (s.labeled > 0) {
-      out += in3 + "\"accuracy\": " +
-             render_json_number(static_cast<double>(s.correct) /
-                                static_cast<double>(s.labeled)) +
-             ",\n";
-      out += in3 + "\"nll\": " +
-             render_json_number(s.nll_sum /
-                                static_cast<double>(s.labeled)) +
-             ",\n";
-      out += in3 + "\"brier\": " +
-             render_json_number(s.brier_sum /
-                                static_cast<double>(s.labeled)) +
-             ",\n";
-      out += in3 + "\"ece\": " + render_json_number(streaming_ece(label)) +
-             ",\n";
+      const double accuracy = per_labeled(s, static_cast<double>(s.correct));
+      o += in3 + "\"accuracy\": " + render_json_number(accuracy) + ",\n";
+      o += in3 + "\"nll\": " + render_json_number(per_labeled(s, s.nll_sum)) +
+           ",\n";
+      o += in3 + "\"brier\": " +
+           render_json_number(per_labeled(s, s.brier_sum)) + ",\n";
+      o += in3 + "\"ece\": " + render_json_number(ece_of(s)) + ",\n";
     }
     if (s.degraded_batches > 0) {
       // Emitted only when non-zero so snapshots from guard-free runs keep
       // their pre-guard schema byte-for-byte (golden baselines).
-      out += in3 + "\"degraded_batches\": " +
-             std::to_string(s.degraded_batches) + ",\n";
+      o += in3 + "\"degraded_batches\": " +
+           std::to_string(s.degraded_batches) + ",\n";
     }
     if (s.sample_batches > 0) {
-      out += in3 + "\"mc_samples\": " + std::to_string(s.mc_samples) + ",\n";
-      out += in3 + "\"sample_batches\": " + std::to_string(s.sample_batches) +
-             ",\n";
-      out += in3 + "\"across_sample_variance_mean\": " +
-             render_json_number(
-                 s.variance_examples > 0
-                     ? s.variance_sum /
-                           static_cast<double>(s.variance_examples)
-                     : 0.0) +
-             ",\n";
+      o += in3 + "\"mc_samples\": " + std::to_string(s.mc_samples) + ",\n";
+      o += in3 + "\"sample_batches\": " + std::to_string(s.sample_batches) +
+           ",\n";
+      o += in3 + "\"across_sample_variance_mean\": " +
+           render_json_number(
+               s.variance_examples > 0
+                   ? s.variance_sum /
+                         static_cast<double>(s.variance_examples)
+                   : 0.0) +
+           ",\n";
     }
-    out += in3 + "\"reliability\": [";
+    o += in3 + "\"reliability\": [";
     for (std::size_t b = 0; b < s.bin_count.size(); ++b) {
-      if (b > 0) out += ", ";
+      if (b > 0) o += ", ";
       const double le = static_cast<double>(b + 1) /
                         static_cast<double>(cfg.reliability_bins);
-      out += "{\"le\": " + render_json_number(le);
-      out += ", \"count\": " + std::to_string(s.bin_count[b]);
-      out += ", \"confidence_sum\": " +
-             render_json_number(s.bin_confidence_sum[b]);
-      out += ", \"accuracy_sum\": " + render_json_number(s.bin_accuracy_sum[b]);
-      out += "}";
+      o += "{\"le\": " + render_json_number(le);
+      o += ", \"count\": " + std::to_string(s.bin_count[b]);
+      o += ", \"confidence_sum\": " +
+           render_json_number(s.bin_confidence_sum[b]);
+      o += ", \"accuracy_sum\": " + render_json_number(s.bin_accuracy_sum[b]);
+      o += "}";
     }
-    out += "],\n";
-    out += in3 + "\"scores\": [";
+    o += "],\n";
+    o += in3 + "\"scores\": [";
     for (std::size_t b = 0; b < s.score_bins.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(s.score_bins[b]);
+      if (b > 0) o += ", ";
+      o += std::to_string(s.score_bins[b]);
     }
-    out += "]\n";
-    out += in2 + "}";
-  }
-  out += (first ? "" : "\n" + in1) + "},\n";
+    o += "]\n";
+    return o + in2 + "}";
+  };
+  out += in1 + "\"streams\": " +
+         render_json_object(streams, in1, render_stream) + ",\n";
 
-  out += in1 + "\"ood\": {";
-  first = true;
-  for (const auto& [label, s] : streams) {
-    const std::string prefix = test_prefix_of(label);
-    if (prefix.empty()) continue;
-    const auto ood_it = streams.find(prefix + "/ood");
-    if (ood_it == streams.end()) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    // OOD examples are the positives: an OOD detector scores *low*
-    // max-probability as suspicious, so AUROC is P(test score > ood score).
-    out += in2 + "\"" + escape_json(prefix) + "\": " +
-           render_json_number(
-               auroc_from_bins(s.score_bins, ood_it->second.score_bins));
-  }
-  out += (first ? "" : "\n" + in1) + "}\n";
+  out += in1 + "\"ood\": " +
+         render_json_object(ood_aurocs(streams), in1, render_json_number) +
+         "\n";
   out += indent + "}";
   return out;
 }
-
-#endif  // !TX_OBS_DISABLED
 
 void publish(MetricsRegistry& reg) {
   const auto streams = stream_table();
@@ -449,10 +391,11 @@ void publish(MetricsRegistry& reg) {
     }
     reg.gauge("pq.labeled." + label).set(static_cast<double>(s.labeled));
     if (s.labeled > 0) {
-      reg.gauge("pq.accuracy." + label).set(streaming_accuracy(label));
-      reg.gauge("pq.nll." + label).set(streaming_nll(label));
-      reg.gauge("pq.brier." + label).set(streaming_brier(label));
-      reg.gauge("pq.ece." + label).set(streaming_ece(label));
+      reg.gauge("pq.accuracy." + label)
+          .set(per_labeled(s, static_cast<double>(s.correct)));
+      reg.gauge("pq.nll." + label).set(per_labeled(s, s.nll_sum));
+      reg.gauge("pq.brier." + label).set(per_labeled(s, s.brier_sum));
+      reg.gauge("pq.ece." + label).set(ece_of(s));
     }
     if (s.sample_batches > 0) {
       reg.gauge("pq.mc_samples." + label)
@@ -462,11 +405,9 @@ void publish(MetricsRegistry& reg) {
       reg.gauge("pq.degraded_batches." + label)
           .set(static_cast<double>(s.degraded_batches));
     }
-    const std::string prefix = test_prefix_of(label);
-    if (!prefix.empty() && streams.count(prefix + "/ood") > 0) {
-      reg.gauge("pq.ood_auroc." + prefix)
-          .set(ood_auroc(label, prefix + "/ood"));
-    }
+  }
+  for (const auto& [prefix, auroc] : ood_aurocs(streams)) {
+    reg.gauge("pq.ood_auroc." + prefix).set(auroc);
   }
 }
 

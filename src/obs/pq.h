@@ -4,9 +4,8 @@
 // The rest of the obs stack (trace/diag/prof/live) watches training-time
 // health; this layer watches the *predictions* — the paper's actual
 // deliverable (Fig 2 calibration curves, Table 1 NLL/ECE/OOD rows). It is
-// off by default (one relaxed atomic load per hook while disabled;
-// -DTX_OBS_DISABLED compiles everything away) and is enabled by the shared
-// bench flag `--pq` / TYXE_PQ (obs/flags.h).
+// off by default (one relaxed atomic load per hook while disabled) and is
+// enabled by the shared bench flag `--pq` / TYXE_PQ (obs/flags.h).
 //
 // Feeds arrive as per-example scalars — tx_obs is tensor-free by design
 // (it links tx_util only), so the tensor-to-scalar reductions live in the
@@ -38,11 +37,9 @@
 //  * Posterior-sample-pool health — MC sample count and mean across-sample
 //    variance of the class probabilities.
 //
-// Updates land in a per-thread shard; tx::par workers flush their shard
-// into the global table before a parallel job completes (same
-// drain-before-completion pattern as the prof churn shards), so aggregates
-// are complete once a parallel region returns. Merging is addition on
-// integers and double sums: integer fields are bitwise-identical at every
+// Updates land in a per-thread shard (obs/shard.h), so aggregates are
+// complete once a parallel region returns. Merging is addition on integers
+// and double sums: integer fields are bitwise-identical at every
 // TYXE_NUM_THREADS unconditionally, and the double sums are too whenever
 // each stream is fed from one thread in a fixed order — which is how every
 // in-tree feeder (the predict path) works.
@@ -50,9 +47,8 @@
 // The layer serializes as a "pq" section (schema tx.pq.v1) inside tx.obs.v1
 // snapshots, and publish() mirrors headline aggregates as pq.* registry
 // gauges (plus a live pq.confidence.<stream> histogram recorded per
-// example) for the Prometheus /metrics endpoint. This is the quality
-// surface the tx::serve arc and VCL shadow-evaluation plug into. See
-// docs/observability.md ("Predictive quality").
+// example) for the Prometheus /metrics endpoint. See docs/observability.md
+// ("Predictive quality").
 #pragma once
 
 #include <cstdint>
@@ -103,8 +99,6 @@ struct StreamStats {
   // record_degraded_batch). Merges by addition.
   std::int64_t degraded_batches = 0;
 };
-
-#ifndef TX_OBS_DISABLED
 
 /// Master switch. Defaults to off; while off every record hook below is one
 /// relaxed atomic load and an early return.
@@ -173,9 +167,7 @@ void record_sample_pool(std::int64_t mc_samples, double variance_sum,
 /// mistake a truncated aggregate for full-quality numbers.
 void record_degraded_batch();
 
-/// Merge this thread's shard into the global table. tx::par calls this from
-/// every chunk before completion is signalled; readers flush the calling
-/// thread themselves. Cheap no-op when the shard is empty.
+/// Merge this thread's shard into the global table (obs/shard.h).
 void flush_thread_cache();
 
 // ---- aggregates ------------------------------------------------------------
@@ -203,39 +195,6 @@ double ood_auroc(const std::string& pos_stream, const std::string& neg_stream);
 /// object, or "" when has_data() is false. `indent` is the prefix of nested
 /// lines when embedding into a larger document.
 std::string section_json(const std::string& indent = "  ");
-
-#else  // TX_OBS_DISABLED: every hook compiles to nothing.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void configure(const Config&) {}
-inline Config config() { return {}; }
-inline void reset() {}
-inline bool has_data() { return false; }
-class StreamScope {
- public:
-  explicit StreamScope(const std::string&) {}
-};
-inline const std::string& current_stream() {
-  static const std::string kDefault = "predict";
-  return kDefault;
-}
-inline void record_prediction(float, double, double) {}
-inline void record_outcome(float, bool, float, double) {}
-inline void record_sample_pool(std::int64_t, double, std::int64_t) {}
-inline void record_degraded_batch() {}
-inline void flush_thread_cache() {}
-inline std::map<std::string, StreamStats> stream_table() { return {}; }
-inline std::int64_t examples(const std::string&) { return 0; }
-inline std::int64_t labeled(const std::string&) { return 0; }
-inline double streaming_ece(const std::string&) { return 0.0; }
-inline double streaming_nll(const std::string&) { return 0.0; }
-inline double streaming_accuracy(const std::string&) { return 0.0; }
-inline double streaming_brier(const std::string&) { return 0.0; }
-inline double ood_auroc(const std::string&, const std::string&) { return 0.0; }
-inline std::string section_json(const std::string& = "  ") { return ""; }
-
-#endif
 
 /// Mirror headline aggregates into `reg` as gauges: "pq.streams" plus
 /// per-stream "pq.examples.<s>" / "pq.ece.<s>" / "pq.nll.<s>" / ... and

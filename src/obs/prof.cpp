@@ -2,19 +2,18 @@
 
 #include <atomic>
 #include <mutex>
-#include <unordered_map>
 
 #include "obs/event_sink.h"
 #include "obs/mem.h"
 #include "obs/registry.h"
+#include "obs/shard.h"
 
 namespace tx::obs::prof {
-
-#ifndef TX_OBS_DISABLED
 
 namespace {
 
 std::atomic<bool> g_enabled{false};
+std::atomic<bool> g_any_data{false};
 std::atomic<std::int64_t> g_steps{0};
 // obs::mem total-allocated baseline captured when profiling was switched on.
 std::atomic<std::int64_t> g_mem_baseline{0};
@@ -30,48 +29,20 @@ std::size_t size_class_of(std::int64_t bytes) {
   return kSizeClassBounds.size();
 }
 
-/// Global state lives in a leaked singleton so thread-shard destructors
-/// running at any point of process teardown can still flush safely.
-struct Globals {
-  std::mutex kernel_mu;
-  std::map<std::string, KernelStats> kernels;
-
-  std::mutex churn_mu;
-  std::map<std::string, SpanChurn> churn;
-  std::atomic<bool> any_data{false};
-};
-
-Globals& g() {
-  static Globals* globals = new Globals;
-  return *globals;
-}
-
-/// Per-thread churn shard: uncontended accumulation between flushes.
-struct ThreadShard {
-  std::unordered_map<std::string, SpanChurn> spans;
-
-  ~ThreadShard() { flush(); }
-
-  void flush() {
-    if (spans.empty()) return;
-    Globals& gl = g();
-    std::lock_guard<std::mutex> lock(gl.churn_mu);
-    for (auto& [path, churn] : spans) {
-      SpanChurn& dst = gl.churn[path];
-      dst.allocs += churn.allocs;
-      dst.bytes += churn.bytes;
-      for (std::size_t i = 0; i < kNumSizeClasses; ++i) {
-        dst.size_classes[i] += churn.size_classes[i];
-      }
-    }
-    spans.clear();
+void merge_churn(SpanChurn& dst, const SpanChurn& src) {
+  dst.allocs += src.allocs;
+  dst.bytes += src.bytes;
+  for (std::size_t i = 0; i < kNumSizeClasses; ++i) {
+    dst.size_classes[i] += src.size_classes[i];
   }
-};
-
-ThreadShard& shard() {
-  thread_local ThreadShard s;
-  return s;
 }
+
+using Churn = ShardedTable<SpanChurn, merge_churn>;
+
+// Kernel aggregates need no shard: kernel scopes are coarse, so one lock
+// per scope is cheap next to the kernel it times.
+std::mutex g_kernel_mu;
+std::map<std::string, KernelStats> g_kernels;
 
 double seconds_enabled_now() {
   const double accum = g_seconds_accum.load(std::memory_order_relaxed);
@@ -89,7 +60,7 @@ void set_enabled(bool on) {
     g_mem_baseline.store(mem::total_allocated_bytes(),
                          std::memory_order_relaxed);
     g_window_start.store(now_seconds(), std::memory_order_relaxed);
-    g().any_data.store(true, std::memory_order_relaxed);
+    g_any_data.store(true, std::memory_order_relaxed);
   } else if (!on && was) {
     const double start = g_window_start.load(std::memory_order_relaxed);
     if (start > 0.0) {
@@ -102,16 +73,11 @@ void set_enabled(bool on) {
 }
 
 void reset() {
-  Globals& gl = g();
-  shard().spans.clear();
   {
-    std::lock_guard<std::mutex> lock(gl.kernel_mu);
-    gl.kernels.clear();
+    std::lock_guard<std::mutex> lock(g_kernel_mu);
+    g_kernels.clear();
   }
-  {
-    std::lock_guard<std::mutex> lock(gl.churn_mu);
-    gl.churn.clear();
-  }
+  Churn::clear();
   g_steps.store(0, std::memory_order_relaxed);
   g_seconds_accum.store(0.0, std::memory_order_relaxed);
   g_mem_baseline.store(mem::total_allocated_bytes(), std::memory_order_relaxed);
@@ -119,20 +85,19 @@ void reset() {
     g_window_start.store(now_seconds(), std::memory_order_relaxed);
   } else {
     g_window_start.store(0.0, std::memory_order_relaxed);
-    gl.any_data.store(false, std::memory_order_relaxed);
+    g_any_data.store(false, std::memory_order_relaxed);
   }
 }
 
 bool has_data() {
-  return enabled() || g().any_data.load(std::memory_order_relaxed);
+  return enabled() || g_any_data.load(std::memory_order_relaxed);
 }
 
 void on_kernel(const char* kernel, std::int64_t flops, std::int64_t bytes,
                double seconds) {
   if (!enabled()) return;
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.kernel_mu);
-  KernelStats& ks = gl.kernels[kernel];
+  std::lock_guard<std::mutex> lock(g_kernel_mu);
+  KernelStats& ks = g_kernels[kernel];
   ks.calls += 1;
   ks.flops += flops;
   ks.bytes += bytes;
@@ -143,7 +108,7 @@ void on_alloc(std::int64_t bytes) {
   if (!enabled() || bytes <= 0) return;
   std::string path = current_span_path();
   if (path.empty()) path = "(root)";
-  SpanChurn& churn = shard().spans[path];
+  SpanChurn& churn = Churn::local(path);
   churn.allocs += 1;
   churn.bytes += bytes;
   churn.size_classes[size_class_of(bytes)] += 1;
@@ -154,22 +119,16 @@ void on_step() {
   g_steps.fetch_add(1, std::memory_order_relaxed);
 }
 
-void flush_thread_cache() { shard().flush(); }
+void flush_thread_cache() { Churn::flush(); }
 
 std::int64_t steps() { return g_steps.load(std::memory_order_relaxed); }
 
 std::map<std::string, KernelStats> kernel_table() {
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.kernel_mu);
-  return gl.kernels;
+  std::lock_guard<std::mutex> lock(g_kernel_mu);
+  return g_kernels;
 }
 
-std::map<std::string, SpanChurn> churn_table() {
-  flush_thread_cache();
-  Globals& gl = g();
-  std::lock_guard<std::mutex> lock(gl.churn_mu);
-  return gl.churn;
-}
+std::map<std::string, SpanChurn> churn_table() { return Churn::snapshot(); }
 
 std::int64_t attributed_bytes() {
   std::int64_t total = 0;
@@ -186,7 +145,6 @@ std::string section_json(const std::string& indent) {
   if (!has_data()) return "";
   const std::string in1 = indent + "  ";
   const std::string in2 = in1 + "  ";
-  const std::string in3 = in2 + "  ";
   const auto kernels = kernel_table();
   const auto churn = churn_table();
   const std::int64_t nsteps = steps();
@@ -197,11 +155,7 @@ std::string section_json(const std::string& indent) {
          render_json_number(seconds_enabled_now()) + ",\n";
   out += in1 + "\"steps\": " + std::to_string(nsteps) + ",\n";
 
-  out += in1 + "\"kernels\": {";
-  bool first = true;
-  for (const auto& [name, ks] : kernels) {
-    out += first ? "\n" : ",\n";
-    first = false;
+  const auto render_kernel = [](const KernelStats& ks) {
     const double gflops =
         ks.seconds > 0.0 ? static_cast<double>(ks.flops) / ks.seconds / 1e9
                          : 0.0;
@@ -212,17 +166,17 @@ std::string section_json(const std::string& indent) {
         ks.bytes > 0 ? static_cast<double>(ks.flops) /
                            static_cast<double>(ks.bytes)
                      : 0.0;
-    out += in2 + "\"" + escape_json(name) + "\": {";
-    out += "\"calls\": " + std::to_string(ks.calls);
-    out += ", \"flops\": " + std::to_string(ks.flops);
-    out += ", \"bytes\": " + std::to_string(ks.bytes);
-    out += ", \"seconds\": " + render_json_number(ks.seconds);
-    out += ", \"gflops\": " + render_json_number(gflops);
-    out += ", \"gbps\": " + render_json_number(gbps);
-    out += ", \"intensity\": " + render_json_number(intensity);
-    out += "}";
-  }
-  out += (first ? "" : "\n" + in1) + "},\n";
+    std::string o = "{\"calls\": " + std::to_string(ks.calls);
+    o += ", \"flops\": " + std::to_string(ks.flops);
+    o += ", \"bytes\": " + std::to_string(ks.bytes);
+    o += ", \"seconds\": " + render_json_number(ks.seconds);
+    o += ", \"gflops\": " + render_json_number(gflops);
+    o += ", \"gbps\": " + render_json_number(gbps);
+    o += ", \"intensity\": " + render_json_number(intensity);
+    return o + "}";
+  };
+  out += in1 + "\"kernels\": " +
+         render_json_object(kernels, in1, render_kernel) + ",\n";
 
   std::int64_t total_allocs = 0, total_bytes = 0;
   for (const auto& [path, c] : churn) {
@@ -240,36 +194,29 @@ std::string section_json(const std::string& indent) {
   out += in2 + "\"attributed_bytes\": " + std::to_string(total_bytes) + ",\n";
   out += in2 + "\"window_allocated_bytes\": " + std::to_string(window) + ",\n";
   out += in2 + "\"coverage\": " + render_json_number(coverage) + ",\n";
-  out += in2 + "\"spans\": {";
-  first = true;
-  for (const auto& [path, c] : churn) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += in3 + "\"" + escape_json(path) + "\": {";
-    out += "\"allocs\": " + std::to_string(c.allocs);
-    out += ", \"bytes\": " + std::to_string(c.bytes);
-    out += ", \"bytes_per_step\": " +
-           render_json_number(nsteps > 0 ? static_cast<double>(c.bytes) /
-                                               static_cast<double>(nsteps)
-                                         : 0.0);
-    out += ", \"size_classes\": [";
+  const auto render_churn = [nsteps](const SpanChurn& c) {
+    std::string o = "{\"allocs\": " + std::to_string(c.allocs);
+    o += ", \"bytes\": " + std::to_string(c.bytes);
+    o += ", \"bytes_per_step\": " +
+         render_json_number(nsteps > 0 ? static_cast<double>(c.bytes) /
+                                             static_cast<double>(nsteps)
+                                       : 0.0);
+    o += ", \"size_classes\": [";
     for (std::size_t i = 0; i < kNumSizeClasses; ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"le\": ";
-      out += i < kSizeClassBounds.size()
-                 ? std::to_string(kSizeClassBounds[i])
-                 : std::string("\"inf\"");
-      out += ", \"count\": " + std::to_string(c.size_classes[i]) + "}";
+      if (i > 0) o += ", ";
+      o += "{\"le\": ";
+      o += i < kSizeClassBounds.size() ? std::to_string(kSizeClassBounds[i])
+                                       : std::string("\"inf\"");
+      o += ", \"count\": " + std::to_string(c.size_classes[i]) + "}";
     }
-    out += "]}";
-  }
-  out += (first ? "" : "\n" + in2) + "}\n";
+    return o + "]}";
+  };
+  out += in2 + "\"spans\": " + render_json_object(churn, in2, render_churn) +
+         "\n";
   out += in1 + "}\n";
   out += indent + "}";
   return out;
 }
-
-#endif  // !TX_OBS_DISABLED
 
 void publish(MetricsRegistry& reg) {
   const auto kernels = kernel_table();

@@ -1,7 +1,7 @@
 // Kernel roofline profiling and allocator-churn attribution.
 //
 // Two measurement streams, both off by default (one relaxed atomic load per
-// hook while disabled; -DTX_OBS_DISABLED compiles everything away):
+// hook while disabled):
 //
 //  * Kernels: every traced kernel slice (matmul/bmm/conv2d forward+backward,
 //    fanned-out elementwise/unary/reduce chains) reports its closed-form FLOP
@@ -17,10 +17,9 @@
 //    size-class histogram per path. The ranked table turns the
 //    allocated-vs-peak churn ratio into named offenders.
 //
-// Churn updates land in a per-thread shard; tx::par workers flush their
-// shard into the global table before a parallel job completes, so aggregates
-// are complete once a parallel region returns and — because merging is
-// integer addition — bitwise-identical at every TYXE_NUM_THREADS.
+// Churn updates land in a per-thread shard (obs/shard.h), so aggregates are
+// complete once a parallel region returns and — because merging is integer
+// addition — bitwise-identical at every TYXE_NUM_THREADS.
 //
 // The whole layer serializes as a "prof" section (schema tx.prof.v1) inside
 // the tx.obs.v1 BENCH snapshot; scripts/bench_diff.py compares two snapshots
@@ -66,8 +65,6 @@ struct SpanChurn {
            size_classes == o.size_classes;
   }
 };
-
-#ifndef TX_OBS_DISABLED
 
 /// Master switch. Defaults to off; while off every hook below is one relaxed
 /// atomic load and an early return. Enabling records the current
@@ -122,9 +119,7 @@ void on_alloc(std::int64_t bytes);
 /// bytes-allocated-per-step in the snapshot.
 void on_step();
 
-/// Merge this thread's churn shard into the global table. tx::par calls
-/// this from every chunk before completion is signalled; readers call it for
-/// the calling thread. Cheap no-op when the shard is empty.
+/// Merge this thread's churn shard into the global table (obs/shard.h).
 void flush_thread_cache();
 
 // ---- aggregates ------------------------------------------------------------
@@ -144,29 +139,6 @@ std::int64_t window_allocated_bytes();
 /// object, or "" when has_data() is false. `indent` is the prefix of nested
 /// lines when embedding into a larger document.
 std::string section_json(const std::string& indent = "  ");
-
-#else  // TX_OBS_DISABLED: every hook compiles to nothing.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void reset() {}
-inline bool has_data() { return false; }
-inline void on_kernel(const char*, std::int64_t, std::int64_t, double) {}
-class KernelScope {
- public:
-  KernelScope(const char*, std::int64_t, std::int64_t) {}
-};
-inline void on_alloc(std::int64_t) {}
-inline void on_step() {}
-inline void flush_thread_cache() {}
-inline std::int64_t steps() { return 0; }
-inline std::map<std::string, KernelStats> kernel_table() { return {}; }
-inline std::map<std::string, SpanChurn> churn_table() { return {}; }
-inline std::int64_t attributed_bytes() { return 0; }
-inline std::int64_t window_allocated_bytes() { return 0; }
-inline std::string section_json(const std::string& = "  ") { return ""; }
-
-#endif
 
 /// Mirror headline aggregates into `reg` as gauges ("prof.kernels",
 /// "prof.kernel_flops", "prof.attributed_bytes", "prof.steps").

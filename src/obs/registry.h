@@ -6,10 +6,9 @@
 // process lifetime, so hot paths resolve a metric once and then update it
 // without ever touching the map again.
 //
-// The whole subsystem has a runtime kill switch (set_enabled) and a
-// compile-time one (-DTX_OBS_DISABLED makes ScopedTimer a no-op); metric
-// objects themselves stay functional either way so tests can poke them
-// directly.
+// The whole subsystem has a runtime kill switch (set_enabled) that disarms
+// ScopedTimer; metric objects themselves stay functional either way so
+// tests can poke them directly.
 #pragma once
 
 #include <atomic>

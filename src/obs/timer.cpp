@@ -30,8 +30,6 @@ std::string set_span_base(std::string base) {
 }
 }  // namespace detail
 
-#ifndef TX_OBS_DISABLED
-
 ScopedTimer::ScopedTimer(std::string name, std::string trace_args)
     : armed_(enabled()) {
   if (!armed_) return;
@@ -77,7 +75,5 @@ ScopedTimer::~ScopedTimer() {
   // across tx::par workers and quantiles stay mergeable.
   registry().log_histogram("span." + path_).record(seconds);
 }
-
-#endif
 
 }  // namespace tx::obs

@@ -13,9 +13,9 @@
 // and the end event reports the span's net tensor allocation ("net_bytes")
 // plus a sample of the mem.live_bytes counter track.
 //
-// Cost when disabled: one relaxed atomic load (runtime switch) or literally
-// nothing (-DTX_OBS_DISABLED compiles the body away). The trace plumbing adds
-// one more relaxed load per span while metrics are on but tracing is off.
+// Cost when disabled: one relaxed atomic load (runtime switch). The trace
+// plumbing adds one more relaxed load per span while metrics are on but
+// tracing is off.
 #pragma once
 
 #include <chrono>
@@ -31,8 +31,6 @@ inline double now_seconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-#ifndef TX_OBS_DISABLED
 
 class ScopedTimer {
  public:
@@ -57,16 +55,6 @@ class ScopedTimer {
   std::int64_t live_bytes0_ = 0;
   double start_ = 0.0;
 };
-
-#else  // TX_OBS_DISABLED: compile-time no-op.
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const std::string&, const std::string& = {}) {}
-  double elapsed() const { return 0.0; }
-};
-
-#endif
 
 /// Depth of the active span stack on this thread (tests).
 std::size_t span_depth();

@@ -15,8 +15,6 @@
 
 namespace tx::obs {
 
-#ifndef TX_OBS_DISABLED
-
 namespace {
 
 struct TraceEvent {
@@ -292,8 +290,6 @@ bool write_trace(const std::string& path) {
   }
   return true;
 }
-
-#endif  // !TX_OBS_DISABLED
 
 std::string trace_path_from_args(int argc, char** argv) {
   return detail::path_flag(argc, argv, "--trace", "TYXE_TRACE");

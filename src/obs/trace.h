@@ -17,7 +17,7 @@
 //
 // Cost when off: emission helpers check one relaxed atomic and return.
 // Tracing rides the obs runtime switch: ScopedTimer only traces while
-// obs::enabled() too, and -DTX_OBS_DISABLED compiles the emitters away.
+// obs::enabled() too.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,6 @@
 #include "obs/event_sink.h"
 
 namespace tx::obs {
-
-#ifndef TX_OBS_DISABLED
 
 /// Is the recorder currently collecting events? (one relaxed atomic load).
 bool tracing();
@@ -87,27 +85,6 @@ class TraceSpan {
   bool armed_;
   std::string name_;
 };
-
-#else  // TX_OBS_DISABLED: compile-time no-ops.
-
-inline bool tracing() { return false; }
-inline void start_tracing() {}
-inline void stop_tracing() {}
-inline void clear_trace() {}
-inline bool write_trace(const std::string&) { return false; }
-inline std::int64_t trace_event_count() { return 0; }
-inline std::int64_t trace_dropped_count() { return 0; }
-inline void set_trace_thread_name(const std::string&) {}
-inline void trace_begin(const std::string&, std::string = {}) {}
-inline void trace_end(const std::string&, std::string = {}) {}
-inline void trace_instant(const std::string&, std::string = {}) {}
-inline void trace_counter(const std::string&, double) {}
-class TraceSpan {
- public:
-  explicit TraceSpan(const std::string&, const std::string& = {}) {}
-};
-
-#endif
 
 /// Resolve a trace output path for a benchmark: `--trace <path>` on the
 /// command line wins, else the TYXE_TRACE environment variable, else "".

@@ -10,9 +10,8 @@
 
 #include "obs/event_sink.h"
 #include "obs/manifest.h"
-#include "obs/pq.h"
-#include "obs/prof.h"
 #include "obs/registry.h"
+#include "obs/shard.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "resil/fault.h"
@@ -120,11 +119,9 @@ struct Job {
                                                 .to_json()
                                           : std::string());
           body(b, e);
-          // Merge this thread's churn and predictive-quality shards before
-          // completion is counted: once the caller wakes from wait() the
-          // aggregates must be final.
-          obs::prof::flush_thread_cache();
-          obs::pq::flush_thread_cache();
+          // Merge this thread's obs shards before completion is counted:
+          // once the caller wakes from wait() the aggregates must be final.
+          obs::flush_thread_shards();
         } catch (...) {
           bool expected = false;
           if (failed.compare_exchange_strong(expected, true,

@@ -10,7 +10,6 @@
 namespace tx::ppl {
 
 void DiagnosticsMessenger::postprocess_message(SampleMsg& msg) {
-#ifndef TX_OBS_DISABLED
   namespace diag = tx::obs::diag;
   if (!diag::enabled() || !diag::in_svi_step()) return;
   if (msg.is_observed || !msg.value.defined()) return;
@@ -63,9 +62,6 @@ void DiagnosticsMessenger::postprocess_message(SampleMsg& msg) {
   NoGradGuard no_grad;
   const double kl = dist::kl_divergence(*q, *msg.distribution).item();
   diag::record_site_kl(msg.name, kl);
-#else
-  (void)msg;
-#endif
 }
 
 std::int64_t DiagnosticsMessenger::sites_seen() const {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -242,9 +243,18 @@ void toy_model() {
   ppl::sample("obs", normal, Tensor::scalar(0.5f));
 }
 
+/// CPU time of the calling thread. Unlike wall time it does not stretch
+/// when the VM is descheduled or the host steals cycles mid-test.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// The acceptance bound: with the runtime switch off, running a model inside
-/// a timer span costs < 5% over the bare model. Best-of-N timing on both
-/// sides to shake scheduler noise.
+/// a timer span costs < 5% over the bare model. Best-of-N per-thread CPU
+/// time on both sides, block-interleaved, to shake scheduler and VM noise.
 TEST_F(ObsTest, DisabledInstrumentationOverheadUnderFivePercent) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "timing bound is for plain builds; sanitizers dilate it";
@@ -253,11 +263,11 @@ TEST_F(ObsTest, DisabledInstrumentationOverheadUnderFivePercent) {
   GTEST_SKIP() << "timing bound is for plain builds; sanitizers dilate it";
 #endif
 #endif
-  constexpr int kIters = 300, kRepeats = 7;
-  const auto time_once = [](const std::function<void()>& fn) {
-    const double t0 = obs::now_seconds();
-    for (int i = 0; i < kIters; ++i) fn();
-    return obs::now_seconds() - t0;
+  constexpr int kIters = 300, kRepeats = 7, kBlock = 10;
+  const auto time_block = [](const std::function<void()>& fn) {
+    const double t0 = thread_cpu_seconds();
+    for (int i = 0; i < kBlock; ++i) fn();
+    return thread_cpu_seconds() - t0;
   };
   const auto bare_fn = [] { toy_model(); };
   const auto instrumented_fn = [] {
@@ -265,15 +275,21 @@ TEST_F(ObsTest, DisabledInstrumentationOverheadUnderFivePercent) {
     toy_model();
   };
 
-  // Repeats interleave the two sides (alternating which runs first), so a
-  // drift in machine speed during the test lands on both best-of-N minima
-  // instead of on whichever side happened to be timed second.
+  // Each repeat times kIters calls per side in kBlock-call blocks that
+  // alternate between the sides (and which side goes first), so a change in
+  // machine speed during the test lands on both sums alike instead of on
+  // whichever side happened to run during it.
   obs::set_enabled(false);
   double bare = 1e300, instrumented = 1e300;
   for (int r = 0; r < kRepeats; ++r) {
-    if (r % 2 == 0) bare = std::min(bare, time_once(bare_fn));
-    instrumented = std::min(instrumented, time_once(instrumented_fn));
-    if (r % 2 == 1) bare = std::min(bare, time_once(bare_fn));
+    double bare_r = 0.0, instrumented_r = 0.0;
+    for (int k = 0; k < kIters / kBlock; ++k) {
+      if (k % 2 == 0) bare_r += time_block(bare_fn);
+      instrumented_r += time_block(instrumented_fn);
+      if (k % 2 == 1) bare_r += time_block(bare_fn);
+    }
+    bare = std::min(bare, bare_r);
+    instrumented = std::min(instrumented, instrumented_r);
   }
   obs::set_enabled(true);
 

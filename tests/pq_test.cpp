@@ -222,6 +222,8 @@ TEST(PqFlags, ParsePqFlagAndStripIt) {
   int argc = 3;
   const BenchFlags flags = parse_bench_flags(argc, argv);
   EXPECT_TRUE(flags.pq);
+  EXPECT_TRUE(enabled());  // the parser switches the stream on
+  set_enabled(false);
   ASSERT_EQ(argc, 2);
   EXPECT_STREQ(argv[1], "positional");
 }

@@ -353,10 +353,39 @@ TEST(BenchFlagsTest, ParsesAndStripsRecognizedFlags) {
   EXPECT_EQ(flags.trace_path, "t.json");
   EXPECT_EQ(flags.diag_path, "d.json");
   EXPECT_TRUE(flags.prof);
+  EXPECT_TRUE(obs::prof::enabled());  // the parser switches the stream on
+  obs::prof::set_enabled(false);
   ASSERT_EQ(argc, 3);
   EXPECT_STREQ(argv[0], "bench");
   EXPECT_STREQ(argv[1], "--keep");
   EXPECT_STREQ(argv[2], "--also-keep");
+}
+
+// A path flag followed by another flag has no path: it warns, falls back to
+// the environment, and leaves the next flag to be parsed normally.
+TEST(BenchFlagsTest, PathFlagFollowedByAFlagHasNoPath) {
+  unsetenv("TYXE_TRACE");
+  unsetenv("TYXE_DIAG");
+  unsetenv("TYXE_PROF");
+  const char* raw[] = {"bench", "--trace", "--prof", "--keep"};
+  std::vector<char*> argv;
+  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
+  int argc = static_cast<int>(argv.size());
+  obs::BenchFlags flags = obs::parse_bench_flags(argc, argv.data());
+  obs::prof::set_enabled(false);
+  EXPECT_EQ(flags.trace_path, "");
+  EXPECT_TRUE(flags.prof);
+  ASSERT_EQ(argc, 2);
+  EXPECT_STREQ(argv[1], "--keep");
+
+  const char* raw2[] = {"bench", "--diag", "--trace", "t.json"};
+  argv.clear();
+  for (const char* a : raw2) argv.push_back(const_cast<char*>(a));
+  argc = static_cast<int>(argv.size());
+  flags = obs::parse_bench_flags(argc, argv.data());
+  EXPECT_EQ(flags.diag_path, "");
+  EXPECT_EQ(flags.trace_path, "t.json");
+  EXPECT_EQ(argc, 1);
 }
 
 TEST(BenchFlagsTest, DefaultsAndEnvFallback) {
@@ -375,6 +404,7 @@ TEST(BenchFlagsTest, DefaultsAndEnvFallback) {
   argc = 1;
   flags = obs::parse_bench_flags(argc, argv.data());
   EXPECT_TRUE(flags.prof);
+  obs::prof::set_enabled(false);
   setenv("TYXE_PROF", "0", 1);
   argc = 1;
   flags = obs::parse_bench_flags(argc, argv.data());
