@@ -4,11 +4,16 @@ namespace tx::ppl {
 
 Tensor SiteRecord::log_prob_sum() const {
   TX_CHECK(distribution != nullptr, "site '", name, "' has no distribution");
-  Tensor lp = distribution->log_prob(value);
+  Tensor total;
   if (mask.defined()) {
-    lp = mul(lp, mask);
+    // Masked sites keep the elementwise chain: mask * log_prob, then sum.
+    const Tensor lp = mul(distribution->log_prob(value), mask);
+    total = lp.numel() == 1 && lp.rank() == 0 ? lp : sum(lp);
+  } else {
+    // The family's own scalar density: fused for Normal (gauss_logpdf_sum),
+    // sum(log_prob) for every other family.
+    total = distribution->log_prob_sum(value);
   }
-  Tensor total = lp.numel() == 1 && lp.rank() == 0 ? lp : sum(lp);
   if (scale != 1.0) {
     total = mul(total, Tensor::scalar(static_cast<float>(scale)));
   }

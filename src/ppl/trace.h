@@ -18,7 +18,8 @@ struct SiteRecord {
   double scale = 1.0;
   Tensor mask;  // undefined = unmasked
 
-  /// scale * sum(mask * log_prob(value)).
+  /// scale * sum(mask * log_prob(value)); unmasked sites evaluate
+  /// scale * distribution->log_prob_sum(value), the fused path for Normal.
   Tensor log_prob_sum() const;
 };
 

@@ -4,14 +4,17 @@
 //   gauss_logpdf_sum(v, l, s) = sum(Normal(l,s).log_prob(v))  (ELBO terms)
 //
 // Each replaces a multi-op graph (one intermediate tensor per op) with one
-// output tensor and, for gauss_logpdf_sum, two cached backward tensors —
-// cutting allocator traffic and memory churn per step.
+// output tensor — cutting tape nodes, allocator traffic and memory churn per
+// step. gauss_logpdf_sum stages nothing: its forward streams the density
+// terms through a stack block into the canonical sum, and its backward is
+// one pass that recomputes z from the inputs and writes all three gradients.
 //
 // Determinism contract: multiplies and adds round separately (the build sets
 // -ffp-contract=off and the simd kernels never use hardware FMA), reductions
 // use the canonical 8-lane tree from tx::simd, and every branch below is a
 // pure function of shapes — so results are bitwise identical across
 // TYXE_NUM_THREADS and TYXE_SIMD settings.
+#include <algorithm>
 #include <cmath>
 
 #include "obs/event_sink.h"
@@ -33,6 +36,134 @@ constexpr std::int64_t kFusedGrain = std::int64_t{1} << 12;
 /// log(sqrt(2*pi)), rounded to float once so every path subtracts the same
 /// constant.
 constexpr float kLogSqrt2Pi = 0.9189385332046727f;
+
+/// Streams floats into simd::sum8's canonical order without storing the
+/// stream: values are staged in a block whose length is a multiple of 8, so
+/// element i of the stream always lands in lane i % 8, and the last n % 8
+/// elements are folded after the combine tree exactly as sum8 folds its tail.
+class CanonicalSum {
+ public:
+  static constexpr std::int64_t kBlock = 256;
+  /// Room for the next room() values; write them, then commit(count).
+  float* next() { return buf_ + fill_; }
+  std::int64_t room() const { return kBlock - fill_; }
+  void commit(std::int64_t count) {
+    fill_ += count;
+    if (fill_ == kBlock) {
+      fold(kBlock);
+      fill_ = 0;
+    }
+  }
+  double finish() {
+    const std::int64_t main = fill_ & ~std::int64_t{7};
+    fold(main);
+    double total = ((p_[0] + p_[1]) + (p_[2] + p_[3])) +
+                   ((p_[4] + p_[5]) + (p_[6] + p_[7]));
+    for (std::int64_t i = main; i < fill_; ++i) {
+      total = total + static_cast<double>(buf_[i]);
+    }
+    return total;
+  }
+
+ private:
+  void fold(std::int64_t count) {
+    for (std::int64_t i = 0; i < count; i += 8) {
+      for (int l = 0; l < 8; ++l) {
+        p_[l] = p_[l] + static_cast<double>(buf_[i + l]);
+      }
+    }
+  }
+
+  double p_[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  float buf_[kBlock];
+  std::int64_t fill_ = 0;
+};
+
+/// One pass over the value for all three gradients of gauss_logpdf_sum,
+/// recomputing z = (v - loc)/scale from the inputs instead of caching it:
+///   d/dv = -g*z/s,  d/dloc = g*z/s,  d/dscale = g*(z^2 - 1)/s.
+/// Each element rounds as the old tape ops did ((z * (1/s)) * g, then
+/// ((z*z - 1) * (1/s)) * g). A loc or scale gradient whose shape matches the
+/// value is written elementwise; a broadcast one folds its terms into one
+/// double per cell in ascending value order (a pure function of the shapes)
+/// and rounds once. Inputs that do not require grad get no gradient.
+std::vector<Tensor> gauss_logpdf_backward(const Tensor& value,
+                                          const Tensor& loc,
+                                          const Tensor& scale,
+                                          const Shape& ls, const Shape& ss,
+                                          float g) {
+  const Shape& vshape = value.shape();
+  const std::int64_t n = value.numel();
+  const std::int64_t ln = loc.numel(), sn = scale.numel();
+  const bool want_v = value.requires_grad();
+  const bool want_l = loc.requires_grad();
+  const bool want_s = scale.requires_grad();
+  const bool full_l = loc.shape() == vshape, full_s = scale.shape() == vshape;
+  std::vector<float> dv, dl, ds;
+  std::vector<double> acc_l, acc_s;
+  if (want_v) dv = alloc::buffer_uninit(n);
+  if (want_l) {
+    dl = alloc::buffer_uninit(ln);
+    if (!full_l) acc_l.assign(static_cast<std::size_t>(ln), 0.0);
+  }
+  if (want_s) {
+    ds = alloc::buffer_uninit(sn);
+    if (!full_s) acc_s.assign(static_cast<std::size_t>(sn), 0.0);
+  }
+  const float* pv = value.data();
+  const float* pl = loc.data();
+  const float* ps = scale.data();
+  {
+    // Per element: sub, two divs and two muls for z/s and g*z/s, the neg,
+    // and mul, sub, two muls for the scale term. Reads value, loc and scale,
+    // writes each requested gradient.
+    obs::prof::KernelScope prof(
+        "gauss_logpdf_bwd", 10 * n,
+        4 * (n + ln + sn + static_cast<std::int64_t>(dv.size() + dl.size() +
+                                                       ds.size())));
+    for_each_run<2>(vshape, {&ls, &ss}, [&](const Run<2>& r) {
+      const float* rv = pv + r.flat;
+      const float* rl = pl + r.start[0];
+      const float* rs = ps + r.start[1];
+      const std::int64_t il = r.inner[0], is = r.inner[1];
+      for (std::int64_t j = 0; j < r.len; ++j) {
+        const float s = rs[j * is];
+        const float z = (rv[j] - rl[j * il]) / s;
+        const float inv = 1.0f / s;
+        const float t = (z * inv) * g;
+        if (want_v) dv[static_cast<std::size_t>(r.flat + j)] = -t;
+        if (want_l) {
+          const auto k = static_cast<std::size_t>(r.start[0] + j * il);
+          if (full_l) {
+            dl[k] = t;
+          } else {
+            acc_l[k] = acc_l[k] + static_cast<double>(t);
+          }
+        }
+        if (want_s) {
+          const float d = ((z * z - 1.0f) * inv) * g;
+          const auto k = static_cast<std::size_t>(r.start[1] + j * is);
+          if (full_s) {
+            ds[k] = d;
+          } else {
+            acc_s[k] = acc_s[k] + static_cast<double>(d);
+          }
+        }
+      }
+    });
+  }
+  for (std::size_t k = 0; k < acc_l.size(); ++k) {
+    dl[k] = static_cast<float>(acc_l[k]);
+  }
+  for (std::size_t k = 0; k < acc_s.size(); ++k) {
+    ds[k] = static_cast<float>(acc_s[k]);
+  }
+  std::vector<Tensor> grads(3);
+  if (want_v) grads[0] = Tensor(vshape, std::move(dv));
+  if (want_l) grads[1] = Tensor(loc.shape(), std::move(dl));
+  if (want_s) grads[2] = Tensor(scale.shape(), std::move(ds));
+  return grads;
+}
 
 }  // namespace
 
@@ -115,72 +246,60 @@ Tensor gauss_logpdf_sum(const Tensor& value, const Tensor& loc,
            "gauss_logpdf_sum: scale [", join(scale.shape()),
            "] must broadcast to value [", join(vshape), "]");
   const std::int64_t n = value.numel();
-  const std::int64_t sn = scale.numel();
+  const std::int64_t ln = loc.numel(), sn = scale.numel();
   const float* pv = value.data();
   const float* pl = loc.data();
   const float* ps = scale.data();
-  // z is cached for the backward pass; lp is pure scratch for the canonical
-  // reduction and stays a plain (unobserved) vector like other op scratch.
-  std::vector<float> zb = alloc::buffer_uninit(n);
-  std::vector<float> invb = alloc::buffer_uninit(sn);
-  for (std::int64_t j = 0; j < sn; ++j) invb[j] = 1.0f / ps[j];
-  std::vector<float> lp(static_cast<std::size_t>(n));
-  double s = 0.0;
+  const Shape ls = broadcast_strides(loc.shape(), vshape);
+  const Shape ss = broadcast_strides(scale.shape(), vshape);
+  CanonicalSum acc;
   {
-    // Per element: sub, div, two muls, two subs, plus the log (counted as 2).
-    obs::prof::KernelScope prof("gauss_logpdf", 8 * n, 4 * (4 * n + 1));
-    if (loc.numel() == 1 && sn == 1) {
-      const float l0 = pl[0], s0 = ps[0];
-      const float log_s = std::log(s0);
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float z = (pv[i] - l0) / s0;
-        zb[static_cast<std::size_t>(i)] = z;
-        lp[static_cast<std::size_t>(i)] =
-            -0.5f * (z * z) - log_s - kLogSqrt2Pi;
-      }
-    } else if (loc.shape() == vshape && scale.shape() == vshape) {
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float z = (pv[i] - pl[i]) / ps[i];
-        zb[static_cast<std::size_t>(i)] = z;
-        lp[static_cast<std::size_t>(i)] =
-            -0.5f * (z * z) - std::log(ps[i]) - kLogSqrt2Pi;
-      }
-    } else {
-      const Shape ls = broadcast_strides(loc.shape(), vshape);
-      const Shape ss = broadcast_strides(scale.shape(), vshape);
-      for_each_run<2>(vshape, {&ls, &ss}, [&](const Run<2>& r) {
-        const float* rl = pl + r.start[0];
-        const float* rs = ps + r.start[1];
-        const std::int64_t il = r.inner[0], is = r.inner[1];
-        // A broadcast scale takes its log once per run: the same value.
-        const float log_s0 = is == 0 ? std::log(*rs) : 0.0f;
-        for (std::int64_t j = 0; j < r.len; ++j) {
-          const auto i = static_cast<std::size_t>(r.flat + j);
-          const float sj = rs[j * is];
-          const float z = (pv[i] - rl[j * il]) / sj;
-          zb[i] = z;
-          lp[i] = -0.5f * (z * z) - (is == 0 ? log_s0 : std::log(sj)) -
-                  kLogSqrt2Pi;
+    // Per element: sub, div, two muls, two subs, plus the log (counted as 2);
+    // reads value, loc and scale once, writes the scalar.
+    obs::prof::KernelScope prof("gauss_logpdf", 8 * n, 4 * (n + ln + sn + 1));
+    for_each_run<2>(vshape, {&ls, &ss}, [&](const Run<2>& r) {
+      const float* rv = pv + r.flat;
+      const float* rl = pl + r.start[0];
+      const float* rs = ps + r.start[1];
+      const std::int64_t il = r.inner[0], is = r.inner[1];
+      // A broadcast scale takes its log once per run: the same value.
+      const float log_s0 = is == 0 ? std::log(*rs) : 0.0f;
+      for (std::int64_t j0 = 0; j0 < r.len;) {
+        const std::int64_t m = std::min(r.len - j0, acc.room());
+        float* z = acc.next();
+        // z = (v - loc) / scale, then lp = -z^2/2 - log(scale) - log(sqrt(2pi))
+        // in place; the same IEEE expressions as Normal::log_prob's chain.
+        if (il == 1) {
+          simd::sub_n(rv + j0, rl + j0, z, m);
+        } else {
+          for (std::int64_t j = 0; j < m; ++j) z[j] = rv[j0 + j] - rl[(j0 + j) * il];
         }
-      });
-    }
-    s = simd::sum8(lp.data(), n);
+        if (is == 1) {
+          simd::div_n(z, rs + j0, z, m);
+        } else {
+          for (std::int64_t j = 0; j < m; ++j) z[j] = z[j] / rs[(j0 + j) * is];
+        }
+        if (is == 0) {
+          for (std::int64_t j = 0; j < m; ++j) {
+            z[j] = -0.5f * (z[j] * z[j]) - log_s0 - kLogSqrt2Pi;
+          }
+        } else {
+          for (std::int64_t j = 0; j < m; ++j) {
+            z[j] = -0.5f * (z[j] * z[j]) - std::log(rs[(j0 + j) * is]) -
+                   kLogSqrt2Pi;
+          }
+        }
+        acc.commit(m);
+        j0 += m;
+      }
+    });
   }
-  // Detached caches: z = (v - loc)/scale and 1/scale (per scale element).
-  Tensor Z(vshape, std::move(zb));
-  Tensor INV(scale.shape(), std::move(invb));
   const Shape loc_shape = loc.shape(), scale_shape = scale.shape();
   return make_tensor_from_op(
-      "gauss_logpdf_sum", Shape{}, {static_cast<float>(s)},
+      "gauss_logpdf_sum", Shape{}, {static_cast<float>(acc.finish())},
       {value, loc, scale},
-      [Z, INV, loc_shape, scale_shape](const Tensor& g) {
-        // d/dv = -g*z/s, d/dloc = g*z/s, d/dscale = g*(z^2 - 1)/s.
-        Tensor t = mul(mul(Z, INV), g);
-        Tensor dv = neg(t);
-        Tensor dl = sum_to(t, loc_shape);
-        Tensor z2m1 = sub(mul(Z, Z), Tensor::scalar(1.0f));
-        Tensor ds = sum_to(mul(mul(z2m1, INV), g), scale_shape);
-        return std::vector<Tensor>{dv, dl, ds};
+      [value, loc, scale, ls, ss](const Tensor& g) {
+        return gauss_logpdf_backward(value, loc, scale, ls, ss, g.item());
       });
 }
 

@@ -36,21 +36,22 @@ infer::Program equiv_model() {
   };
 }
 
-// Captured from infer::MCMC before the run loops were merged:
+// Captured from infer::MCMC with every site density on the fused Gaussian
+// node (gauss_logpdf_sum), identical across TYXE_SIMD off/auto x 1/4 threads:
 // manual_seed(7), Generator(2021), HMC(0.2, 5), 8 warmup + 8 kept draws.
 // kHmcDraws[coord][draw].
 const double kHmcDraws[kDim][kSamples] = {
-    {0x1.8bc451ca3994ep-2, 0x1.6bff707cea17ep-2, -0x1.8fb80449ed076p-1,
-     -0x1.0a712f6991e6ep-3, 0x1.3bee0243dfbb4p-2, -0x1.0101adce6024dp-2,
-     0x1.3da89f19a8536p-3, 0x1.0a20d4ea9239ap-1},
-    {0x1.ee48ac3322444p-3, 0x1.f76b8ef07b60dp-1, 0x1.cb48d99f67df7p-1,
-     0x1.077d8d70d5b05p+0, 0x1.4643997489e03p-1, 0x1.021347c3f0b42p-1,
-     0x1.ec07b9ec6315dp-1, -0x1.22fea55939d7ap-4},
-    {-0x1.35167f933b6fep-1, -0x1.b338200ea7cbbp-1, 0x1.61d59011770b6p-1,
-     -0x1.fc0d49388c0fep-2, -0x1.a2a4fd1875ap-8, -0x1.0940e4325d943p-1,
-     -0x1.cb6726a747fb6p-4, -0x1.f65fb34c8010cp-1},
+    {0x1.8bc452d3fe01cp-2, 0x1.6bff6239d1d88p-2, -0x1.8fb7f14d784acp-1,
+     -0x1.0a70d7e80c314p-3, 0x1.3bedc8154836cp-2, -0x1.0101c8be8bc3p-2,
+     0x1.3da90ef4a1262p-3, 0x1.0a20992e7bd6fp-1},
+    {0x1.ee48af447bf17p-3, 0x1.f76b921caca29p-1, 0x1.cb48b324e595dp-1,
+     0x1.077d86f029585p+0, 0x1.4643a624936aap-1, 0x1.02131afb1384ep-1,
+     0x1.ec07e697261c3p-1, -0x1.22ffba2ae82bcp-4},
+    {-0x1.3516813a02c15p-1, -0x1.b3383d29e7fecp-1, 0x1.61d57dc550ffcp-1,
+     -0x1.fc0d0569e3383p-2, -0x1.a2b3cfcfed04p-8, -0x1.0940b736f8327p-1,
+     -0x1.cb67a106dcd44p-4, -0x1.f65f904862a2ap-1}
 };
-const double kHmcMeanAccept = 0x1.93c2f8812b731p-1;
+const double kHmcMeanAccept = 0x1.93c2f66ade633p-1;
 const std::int64_t kHmcDivergences = 2;
 // First engine output of the caller's generator after the run: the kernel
 // consumed exactly the caller's stream, no derived generator.
@@ -60,29 +61,32 @@ const std::uint64_t kHmcGenNext = 0xd83b4b7788df9063ULL;
 // kept draws each. kNutsDraws[chain][coord][draw].
 const double kNutsDraws[2][kDim][kSamples] = {
     {
-        {0x1.99e08212a3e2cp-2, 0x1.52f161fbba0fbp-2, 0x1.5bdf847a4fe58p-2,
-         0x1.085c823d9cbe4p-1, 0x1.68ae93128a294p-2, 0x1.e591d935cbe3fp-3,
-         0x1.aafdecc22bdc4p-1, 0x1.9bd226b082ea5p-1},
-        {0x1.400e03557f957p-4, 0x1.a56d152fff27cp-1, 0x1.b1d55b56433f9p-1,
-         0x1.6f37c16a5968cp-5, 0x1.534f208998278p-3, 0x1.0fa0ecbd04f02p-4,
-         0x1.a8510c6971547p-2, 0x1.88721781855d9p-2},
-        {-0x1.dedcbf0f5ecbp-2, -0x1.60294a2861678p-1, -0x1.76548c6c73c1cp-1,
-         -0x1.4b435b0e7710dp-1, -0x1.0bb4e030acfd9p-1, -0x1.d588eae053ad9p-2,
-         -0x1.83c6c2520196dp+0, -0x1.851a23b6ea46fp+0},
+        {0x1.99e07b090e1b6p-2, 0x1.52f178585757fp-2, 0x1.5bdf96e3e0936p-2,
+         0x1.085c84a0d9fefp-1, 0x1.68ae996200dddp-2, 0x1.e591e484087c1p-3,
+         0x1.aafdee6eebfa9p-1, 0x1.9bd2289000ba9p-1},
+        {0x1.400dc639ba0edp-4, 0x1.a56d148a07b1ep-1, 0x1.b1d559f9ca9c8p-1,
+         0x1.6f37906ead474p-5, 0x1.534f1fe810876p-3, 0x1.0fa0e8f613ad1p-4,
+         0x1.a85106086eebep-2, 0x1.887210e67d38dp-2},
+        {-0x1.dedcd7df17a9p-2, -0x1.60294a2b2cddp-1,
+         -0x1.76548d8b8f717p-1, -0x1.4b435de5da0f7p-1,
+         -0x1.0bb4e351095a6p-1, -0x1.d588f0b77603cp-2,
+         -0x1.83c6c331b1845p+0, -0x1.851a246cdc51ep+0}
     },
     {
-        {0x1.8538ee987a2c6p-1, 0x1.5bb46cdfca3d7p-1, 0x1.f8c8a9a965b04p-1,
-         0x1.53b8f72a751f7p-1, 0x1.70da93a4b89acp-3, 0x1.3943a554aacfbp-1,
-         0x1.58cbbe45b5e5cp-3, -0x1.e25d4d4ca8dbcp-3},
-        {-0x1.20a6572137318p-5, 0x1.4b7a92493ddd1p-4, -0x1.4a7fca38e0f18p-3,
-         0x1.931d12ee3d9e4p-4, -0x1.b6bf84b1dc806p-4, 0x1.5ee6bb351383p-5,
-         0x1.220511c0ed8d5p-2, 0x1.56ae375a85f34p-1},
-        {-0x1.6050545b2d4d2p+0, -0x1.97de619f77d8ep-1, -0x1.6b8cf14431669p+0,
-         -0x1.1b329985197cp+0, -0x1.f2a949dc28558p-2, -0x1.533d5576fcd75p-2,
-         -0x1.274e67a5c3a6ap-1, -0x1.95caec059d566p-3},
-    },
+        {0x1.853919e089a6p-1, 0x1.5bb43fd2a9495p-1, 0x1.f8c87904169d3p-1,
+         0x1.53b901d182db6p-1, 0x1.70dad6a0d4afcp-3, 0x1.39439f6c1f8d3p-1,
+         0x1.58cbec0b6cf3p-3, -0x1.e25cd0ad4dd44p-3},
+        {-0x1.20a74aa506c3cp-5, 0x1.4b7aa5c72f5b8p-4,
+         -0x1.4a8075161e0bep-3, 0x1.931ce2e22d544p-4,
+         -0x1.b6bf581dadc3p-4, 0x1.5ee63658bffc4p-5, 0x1.2205075f9dca8p-2,
+         0x1.56ae3c07933d9p-1},
+        {-0x1.60502b8d7cc93p+0, -0x1.97de8817fc794p-1,
+         -0x1.6b8cee71fa7dfp+0, -0x1.1b329087eb2f3p+0,
+         -0x1.f2a946539ebbp-2, -0x1.533d635710d97p-2,
+         -0x1.274e64d5a69b4p-1, -0x1.95cadf7220541p-3}
+    }
 };
-const double kNutsMeanAccept = 0x1.a00d51d18fcc8p-1;
+const double kNutsMeanAccept = 0x1.a00d509974904p-1;
 const std::int64_t kNutsDivergences = 3;
 
 infer::KernelFactory hmc_factory(int* calls = nullptr) {

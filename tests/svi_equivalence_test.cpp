@@ -3,7 +3,10 @@
 // an early-stopping FitCallback, and a checkpointed RetryPolicy fit run both
 // uninterrupted and split with a resume from disk — must reproduce the
 // per-step losses, gradient norms, epoch ELBOs and final parameter bytes
-// captured as hexfloats from the reference driver, bit for bit. Any change to
+// captured as hexfloats from the reference driver, bit for bit. The values
+// were re-captured once when unmasked sample sites moved onto the fused
+// Gaussian density (gauss_logpdf_sum); they are identical across TYXE_SIMD
+// off/auto and 1/4 pool threads. Any change to
 // the fit path that perturbs a step — an extra draw, a reordered batch, a
 // different rollback anchor — fails here first. A ResNet-8 case pins the
 // conv + BatchNorm kernels the same way, through training and predict.
@@ -122,8 +125,8 @@ const std::vector<double> kPlainLosses = {
     0x1.522876p+12, 0x1.ddd7cp+11, 0x1.47494p+12, 0x1.1ec234p+11,
     0x1.64c5b8p+11, 0x1.0c2ae6p+11};
 const std::vector<double> kPlainGradNorms = {
-    0x1.21ab70cd237ecp+13, 0x1.b0ffc2f13d523p+12, 0x1.25b42f0a2fa1cp+13,
-    0x1.5a179874413a7p+12, 0x1.832c47db811ddp+12, 0x1.3ee876f3bf2b7p+12};
+    0x1.21ab70cd237ecp+13, 0x1.b0ffc505579f8p+12, 0x1.25b42f0a2fa1cp+13,
+    0x1.5a179874413a7p+12, 0x1.832c48856efeep+12, 0x1.3ee876f3bf2b7p+12};
 const std::uint64_t kPlainParams = 0x1c15a65a9d0edbc5ULL;
 
 TEST(SviEquivalence, PlainFitTwoBatchesThreeEpochs) {
@@ -150,10 +153,10 @@ TEST(SviEquivalence, PlainFitTwoBatchesThreeEpochs) {
 const std::vector<double> kShuffleLosses = {
     0x1.db162cp+12, 0x1.4822dp+12, 0x1.75fcdcp+12, 0x1.562f62p+12,
     0x1.679c6cp+12, 0x1.8845e2p+11, 0x1.e9b3cep+11, 0x1.d868a6p+11,
-    0x1.0effe4p+12};
+    0x1.0effe2p+12};
 const std::vector<double> kShuffleElbos = {
-    -0x1.886748p+12, -0x1.2b4f95p+12, -0x1.f55ebeaaaaaabp+11};
-const std::uint64_t kShuffleParams = 0x676af25c0f02ecccULL;
+    -0x1.886748p+12, -0x1.2b4f95p+12, -0x1.f55ebd5555555p+11};
+const std::uint64_t kShuffleParams = 0x053659e7fa2d6284ULL;
 
 TEST(SviEquivalence, FunctionDataShuffledWithEarlyStop) {
   tx::manual_seed(12);
@@ -198,7 +201,7 @@ const std::vector<double> kPolicyLosses = {
     0x1.9f326p+9, 0x1.38a1b2p+10};
 const double kPolicyFinalLoss = 0x1.38a1b2p+10;
 const std::uint64_t kPolicyParams = 0xccf7c30ac0af9899ULL;
-const std::uint64_t kPolicyCkpt = 0xe72a3dc70fbfd3a9ULL;
+const std::uint64_t kPolicyCkpt = 0xbb6a1f8987f4f9feULL;
 
 struct PolicyRun {
   Record rec;
@@ -288,8 +291,8 @@ TEST(SviEquivalence, PolicyFitCheckpointEveryThreeAndResume) {
 // reductions and the permutes of conv and linear.
 const std::vector<double> kResnetLosses = {
     0x1.74229cp+13, 0x1.7267acp+13, 0x1.6ceec4p+13, 0x1.6b6628p+13};
-const std::uint64_t kResnetParams = 0x006a5ac4b9c96aa5ULL;
-const std::uint64_t kResnetPredict = 0x30eef54eb0b4e7a6ULL;
+const std::uint64_t kResnetParams = 0x2bd143f9846367faULL;
+const std::uint64_t kResnetPredict = 0x7c18d6b6148f62a4ULL;
 
 TEST(SviEquivalence, ResnetBatchNormLocalReparamFitThenPredict) {
   tx::manual_seed(14);
