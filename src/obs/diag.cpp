@@ -13,7 +13,6 @@
 #include <set>
 
 #include "obs/event_sink.h"
-#include "obs/flags.h"
 #include "obs/timer.h"
 
 namespace tx::obs::diag {
@@ -692,10 +691,6 @@ bool write_snapshot(const std::string& path, const std::string& bench_name) {
     return false;
   }
   return true;
-}
-
-std::string diag_path_from_args(int argc, char** argv) {
-  return obs::detail::path_flag(argc, argv, "--diag", "TYXE_DIAG");
 }
 
 }  // namespace tx::obs::diag

@@ -187,8 +187,4 @@ void publish(MetricsRegistry& reg);
 /// Returns false (and counts obs.sink_errors) on I/O failure.
 bool write_snapshot(const std::string& path, const std::string& bench_name);
 
-/// Resolve a diagnostics output path for a benchmark: `--diag <path>` on the
-/// command line wins, else the TYXE_DIAG environment variable, else "".
-std::string diag_path_from_args(int argc, char** argv);
-
 }  // namespace tx::obs::diag

@@ -41,10 +41,9 @@ const char* path_operand(int argc, char** argv, int i) {
   return argv[i + 1];
 }
 
-}  // namespace
-
-namespace detail {
-
+// Scan argv for `flag <path>`; a `flag` that is last or followed by another
+// `--flag` has no path and prints a warning naming the env fallback.
+// Returns the path, else the non-empty value of `env`, else "".
 std::string path_flag(int argc, char** argv, const char* flag,
                       const char* env) {
   for (int i = 1; i < argc; ++i) {
@@ -62,12 +61,12 @@ std::string path_flag(int argc, char** argv, const char* flag,
   return "";
 }
 
-}  // namespace detail
+}  // namespace
 
 BenchFlags parse_bench_flags(int& argc, char** argv) {
   BenchFlags flags;
-  flags.trace_path = detail::path_flag(argc, argv, "--trace", "TYXE_TRACE");
-  flags.diag_path = detail::path_flag(argc, argv, "--diag", "TYXE_DIAG");
+  flags.trace_path = path_flag(argc, argv, "--trace", "TYXE_TRACE");
+  flags.diag_path = path_flag(argc, argv, "--diag", "TYXE_DIAG");
 
   // Strip consumed arguments so downstream parsers never see them.
   int out = 1;

@@ -50,14 +50,4 @@ struct BenchFlags {
 /// order.
 BenchFlags parse_bench_flags(int& argc, char** argv);
 
-namespace detail {
-/// Scan argv for `flag <path>`; a `flag` that is last or followed by another
-/// `--flag` has no path and prints a warning naming the env fallback.
-/// Returns the path, else the non-empty value of `env`, else "".
-/// Non-stripping — shared by the legacy
-/// trace_path_from_args / diag_path_from_args entry points.
-std::string path_flag(int argc, char** argv, const char* flag,
-                      const char* env);
-}  // namespace detail
-
 }  // namespace tx::obs

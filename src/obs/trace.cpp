@@ -10,7 +10,6 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/flags.h"
 #include "obs/registry.h"
 
 namespace tx::obs {
@@ -289,10 +288,6 @@ bool write_trace(const std::string& path) {
     return false;
   }
   return true;
-}
-
-std::string trace_path_from_args(int argc, char** argv) {
-  return detail::path_flag(argc, argv, "--trace", "TYXE_TRACE");
 }
 
 }  // namespace tx::obs

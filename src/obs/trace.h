@@ -86,8 +86,4 @@ class TraceSpan {
   std::string name_;
 };
 
-/// Resolve a trace output path for a benchmark: `--trace <path>` on the
-/// command line wins, else the TYXE_TRACE environment variable, else "".
-std::string trace_path_from_args(int argc, char** argv);
-
 }  // namespace tx::obs

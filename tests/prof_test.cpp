@@ -424,15 +424,21 @@ TEST(BenchFlagsTest, TrailingPathFlagWarnsAndIsStripped) {
   EXPECT_EQ(argc, 1);
 }
 
-TEST(BenchFlagsTest, LegacyEntryPointsShareTheHelper) {
-  unsetenv("TYXE_TRACE");
-  unsetenv("TYXE_DIAG");
-  const char* raw[] = {"bench", "--trace", "x.json", "--diag", "y.json"};
+// TYXE_TRACE / TYXE_DIAG fill in a path flag that is absent, and a flag
+// that is present wins over its variable.
+TEST(BenchFlagsTest, PathFlagsWinOverTheirEnvFallbacks) {
+  setenv("TYXE_TRACE", "env_t.json", 1);
+  setenv("TYXE_DIAG", "env_d.json", 1);
+  const char* raw[] = {"bench", "--diag", "y.json"};
   std::vector<char*> argv;
   for (const char* a : raw) argv.push_back(const_cast<char*>(a));
-  const int argc = static_cast<int>(argv.size());
-  EXPECT_EQ(obs::trace_path_from_args(argc, argv.data()), "x.json");
-  EXPECT_EQ(obs::diag::diag_path_from_args(argc, argv.data()), "y.json");
+  int argc = static_cast<int>(argv.size());
+  const obs::BenchFlags flags = obs::parse_bench_flags(argc, argv.data());
+  EXPECT_EQ(flags.trace_path, "env_t.json");
+  EXPECT_EQ(flags.diag_path, "y.json");
+  EXPECT_EQ(argc, 1);
+  unsetenv("TYXE_TRACE");
+  unsetenv("TYXE_DIAG");
 }
 
 // ---- python round-trips --------------------------------------------------

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -280,19 +281,23 @@ TEST_F(TraceTest, SnapshotCarriesMemGauges) {
 
 // ---- bench flag parsing ----------------------------------------------------
 
+// The trace path from the command line: `--trace <path>` wins, else
+// TYXE_TRACE, else "" (tracing off).
+std::string trace_path_of(std::vector<const char*> args) {
+  std::vector<char*> argv;
+  for (const char* a : args) argv.push_back(const_cast<char*>(a));
+  int argc = static_cast<int>(argv.size());
+  return obs::parse_bench_flags(argc, argv.data()).trace_path;
+}
+
 TEST_F(TraceTest, TracePathFromArgsPrefersFlag) {
-  const char* argv[] = {"bench", "--trace", "out.json", nullptr};
-  EXPECT_EQ(obs::trace_path_from_args(3, const_cast<char**>(argv)),
-            "out.json");
-  const char* bare[] = {"bench", nullptr};
   ::setenv("TYXE_TRACE", "env.json", 1);
-  EXPECT_EQ(obs::trace_path_from_args(1, const_cast<char**>(bare)),
-            "env.json");
+  EXPECT_EQ(trace_path_of({"bench", "--trace", "out.json"}), "out.json");
+  EXPECT_EQ(trace_path_of({"bench"}), "env.json");
   ::unsetenv("TYXE_TRACE");
-  EXPECT_EQ(obs::trace_path_from_args(1, const_cast<char**>(bare)), "");
+  EXPECT_EQ(trace_path_of({"bench"}), "");
   // A trailing --trace with no value falls through to the env/default.
-  const char* trailing[] = {"bench", "--trace", nullptr};
-  EXPECT_EQ(obs::trace_path_from_args(2, const_cast<char**>(trailing)), "");
+  EXPECT_EQ(trace_path_of({"bench", "--trace"}), "");
 }
 
 // ---- round-trip through the python validator -------------------------------
