@@ -267,17 +267,21 @@ Tensor gauss_logpdf_sum(const Tensor& value, const Tensor& loc,
       for (std::int64_t j0 = 0; j0 < r.len;) {
         const std::int64_t m = std::min(r.len - j0, acc.room());
         float* z = acc.next();
-        // z = (v - loc) / scale, then lp = -z^2/2 - log(scale) - log(sqrt(2pi))
-        // in place; the same IEEE expressions as Normal::log_prob's chain.
+        // z = (v - loc) / scale, then in place -z^2/2 - log(scale) -
+        // log(sqrt(2pi)): the same IEEE expressions as Normal::log_prob.
         if (il == 1) {
           simd::sub_n(rv + j0, rl + j0, z, m);
         } else {
-          for (std::int64_t j = 0; j < m; ++j) z[j] = rv[j0 + j] - rl[(j0 + j) * il];
+          for (std::int64_t j = 0; j < m; ++j) {
+            z[j] = rv[j0 + j] - rl[(j0 + j) * il];
+          }
         }
         if (is == 1) {
           simd::div_n(z, rs + j0, z, m);
         } else {
-          for (std::int64_t j = 0; j < m; ++j) z[j] = z[j] / rs[(j0 + j) * is];
+          for (std::int64_t j = 0; j < m; ++j) {
+            z[j] = z[j] / rs[(j0 + j) * is];
+          }
         }
         if (is == 0) {
           for (std::int64_t j = 0; j < m; ++j) {
@@ -294,7 +298,6 @@ Tensor gauss_logpdf_sum(const Tensor& value, const Tensor& loc,
       }
     });
   }
-  const Shape loc_shape = loc.shape(), scale_shape = scale.shape();
   return make_tensor_from_op(
       "gauss_logpdf_sum", Shape{}, {static_cast<float>(acc.finish())},
       {value, loc, scale},
