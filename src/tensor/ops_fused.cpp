@@ -5,16 +5,16 @@
 //
 // Each replaces a multi-op graph (one intermediate tensor per op) with one
 // output tensor — cutting tape nodes, allocator traffic and memory churn per
-// step. gauss_logpdf_sum stages nothing: its forward streams the density
-// terms through a stack block into the canonical sum, and its backward is
-// one pass that recomputes z from the inputs and writes all three gradients.
+// step. gauss_logpdf_sum caches nothing for its backward: the forward stages
+// its density terms in one step-arena buffer for the canonical sum, and the
+// backward is one pass that recomputes z from the inputs and writes all
+// three gradients.
 //
 // Determinism contract: multiplies and adds round separately (the build sets
 // -ffp-contract=off and the simd kernels never use hardware FMA), reductions
 // use the canonical 8-lane tree from tx::simd, and every branch below is a
 // pure function of shapes — so results are bitwise identical across
 // TYXE_NUM_THREADS and TYXE_SIMD settings.
-#include <algorithm>
 #include <cmath>
 
 #include "obs/event_sink.h"
@@ -36,48 +36,6 @@ constexpr std::int64_t kFusedGrain = std::int64_t{1} << 12;
 /// log(sqrt(2*pi)), rounded to float once so every path subtracts the same
 /// constant.
 constexpr float kLogSqrt2Pi = 0.9189385332046727f;
-
-/// Streams floats into simd::sum8's canonical order without storing the
-/// stream: values are staged in a block whose length is a multiple of 8, so
-/// element i of the stream always lands in lane i % 8, and the last n % 8
-/// elements are folded after the combine tree exactly as sum8 folds its tail.
-class CanonicalSum {
- public:
-  static constexpr std::int64_t kBlock = 256;
-  /// Room for the next room() values; write them, then commit(count).
-  float* next() { return buf_ + fill_; }
-  std::int64_t room() const { return kBlock - fill_; }
-  void commit(std::int64_t count) {
-    fill_ += count;
-    if (fill_ == kBlock) {
-      fold(kBlock);
-      fill_ = 0;
-    }
-  }
-  double finish() {
-    const std::int64_t main = fill_ & ~std::int64_t{7};
-    fold(main);
-    double total = ((p_[0] + p_[1]) + (p_[2] + p_[3])) +
-                   ((p_[4] + p_[5]) + (p_[6] + p_[7]));
-    for (std::int64_t i = main; i < fill_; ++i) {
-      total = total + static_cast<double>(buf_[i]);
-    }
-    return total;
-  }
-
- private:
-  void fold(std::int64_t count) {
-    for (std::int64_t i = 0; i < count; i += 8) {
-      for (int l = 0; l < 8; ++l) {
-        p_[l] = p_[l] + static_cast<double>(buf_[i + l]);
-      }
-    }
-  }
-
-  double p_[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  float buf_[kBlock];
-  std::int64_t fill_ = 0;
-};
 
 /// One pass over the value for all three gradients of gauss_logpdf_sum,
 /// recomputing z = (v - loc)/scale from the inputs instead of caching it:
@@ -252,7 +210,14 @@ Tensor gauss_logpdf_sum(const Tensor& value, const Tensor& loc,
   const float* ps = scale.data();
   const Shape ls = broadcast_strides(loc.shape(), vshape);
   const Shape ss = broadcast_strides(scale.shape(), vshape);
-  CanonicalSum acc;
+  // z = (v - loc)/scale, then in place -z^2/2 - log(scale) -
+  // log(sqrt(2pi)): the same IEEE expressions as Normal::log_prob. The terms
+  // are staged in a tensor from the step arena (recycled when it dies inside
+  // a step) and summed in sum8's canonical order, so the value is bitwise
+  // the unfused sum(log_prob).
+  Tensor terms(vshape, alloc::buffer_uninit(n));
+  float* pt = terms.data();
+  double total = 0.0;
   {
     // Per element: sub, div, two muls, two subs, plus the log (counted as 2);
     // reads value, loc and scale once, writes the scalar.
@@ -261,45 +226,34 @@ Tensor gauss_logpdf_sum(const Tensor& value, const Tensor& loc,
       const float* rv = pv + r.flat;
       const float* rl = pl + r.start[0];
       const float* rs = ps + r.start[1];
+      float* z = pt + r.flat;
       const std::int64_t il = r.inner[0], is = r.inner[1];
-      // A broadcast scale takes its log once per run: the same value.
-      const float log_s0 = is == 0 ? std::log(*rs) : 0.0f;
-      for (std::int64_t j0 = 0; j0 < r.len;) {
-        const std::int64_t m = std::min(r.len - j0, acc.room());
-        float* z = acc.next();
-        // z = (v - loc) / scale, then in place -z^2/2 - log(scale) -
-        // log(sqrt(2pi)): the same IEEE expressions as Normal::log_prob.
-        if (il == 1) {
-          simd::sub_n(rv + j0, rl + j0, z, m);
-        } else {
-          for (std::int64_t j = 0; j < m; ++j) {
-            z[j] = rv[j0 + j] - rl[(j0 + j) * il];
-          }
+      if (il == 1) {
+        simd::sub_n(rv, rl, z, r.len);
+      } else {
+        for (std::int64_t j = 0; j < r.len; ++j) z[j] = rv[j] - rl[j * il];
+      }
+      if (is == 1) {
+        simd::div_n(z, rs, z, r.len);
+      } else {
+        for (std::int64_t j = 0; j < r.len; ++j) z[j] = z[j] / rs[j * is];
+      }
+      if (is == 0) {
+        // A broadcast scale takes its log once per run: the same value.
+        const float log_s = std::log(*rs);
+        for (std::int64_t j = 0; j < r.len; ++j) {
+          z[j] = -0.5f * (z[j] * z[j]) - log_s - kLogSqrt2Pi;
         }
-        if (is == 1) {
-          simd::div_n(z, rs + j0, z, m);
-        } else {
-          for (std::int64_t j = 0; j < m; ++j) {
-            z[j] = z[j] / rs[(j0 + j) * is];
-          }
+      } else {
+        for (std::int64_t j = 0; j < r.len; ++j) {
+          z[j] = -0.5f * (z[j] * z[j]) - std::log(rs[j * is]) - kLogSqrt2Pi;
         }
-        if (is == 0) {
-          for (std::int64_t j = 0; j < m; ++j) {
-            z[j] = -0.5f * (z[j] * z[j]) - log_s0 - kLogSqrt2Pi;
-          }
-        } else {
-          for (std::int64_t j = 0; j < m; ++j) {
-            z[j] = -0.5f * (z[j] * z[j]) - std::log(rs[(j0 + j) * is]) -
-                   kLogSqrt2Pi;
-          }
-        }
-        acc.commit(m);
-        j0 += m;
       }
     });
+    total = simd::sum8(pt, n);
   }
   return make_tensor_from_op(
-      "gauss_logpdf_sum", Shape{}, {static_cast<float>(acc.finish())},
+      "gauss_logpdf_sum", Shape{}, {static_cast<float>(total)},
       {value, loc, scale},
       [value, loc, scale, ls, ss](const Tensor& g) {
         return gauss_logpdf_backward(value, loc, scale, ls, ss, g.item());

@@ -1,8 +1,9 @@
 // The fused Gaussian density node against the unfused composition it
 // replaces. gauss_logpdf_sum(v, loc, scale) must give the value of
 // sum(Normal(loc, scale).log_prob(v)) and all three of its gradients, for
-// same-shape, scalar and broadcast parameters and for rank-0 values; the
-// inverse-broadcast direction must fall back to the composition itself.
+// same-shape, scalar and broadcast parameters and for rank-0 values, and
+// give gradients only to the inputs that require them; the inverse-broadcast
+// direction must fall back to the composition itself.
 // Sample sites route through it: unmasked sites take the fused node, masked
 // sites keep mul(log_prob, mask) -> sum bit for bit, and distributions
 // without a fused kernel keep sum(log_prob) bit for bit. Every result is
@@ -141,6 +142,39 @@ TEST_P(FusedDensity, MatchesUnfusedComposition) {
   expect_close(f.dv, u.dv, 1, "d/dvalue");
   expect_close(f.dloc, u.dloc, n / numel_of(c.loc), "d/dloc");
   expect_close(f.dscale, u.dscale, n / numel_of(c.scale), "d/dscale");
+}
+
+// ELBO and HMC sites usually differentiate only some inputs: learned loc and
+// scale at an observed value, or a latent value under a fixed prior. The
+// fused node gives those inputs the composition's gradients and leaves the
+// others without one.
+TEST_P(FusedDensity, GradientsOnlyForInputsThatRequireThem) {
+  const Case& c = GetParam();
+  const std::int64_t n = numel_of(c.value);
+  const std::vector<std::vector<bool>> wants = {
+      {false, true, true}, {true, false, false}, {false, false, true},
+      {true, true, false}};
+  for (const std::vector<bool>& want : wants) {
+    std::vector<std::vector<float>> grads[2];
+    for (int pass = 0; pass < 2; ++pass) {
+      Inputs in = inputs_for(c);
+      std::vector<Tensor> xs = {in.value.detach(), in.loc.detach(),
+                                in.scale.detach()};
+      for (std::size_t k = 0; k < 3; ++k) xs[k].set_requires_grad(want[k]);
+      (pass == 0 ? gauss_logpdf_sum(xs[0], xs[1], xs[2])
+                 : composed(xs[0], xs[1], xs[2]))
+          .backward();
+      for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(xs[k].has_grad(), want[k])
+            << "input " << k << (pass == 0 ? " fused" : " composed");
+        grads[pass].push_back(xs[k].has_grad() ? xs[k].grad().to_vector()
+                                               : std::vector<float>());
+      }
+    }
+    expect_close(grads[0][0], grads[1][0], 1, "d/dvalue");
+    expect_close(grads[0][1], grads[1][1], n / numel_of(c.loc), "d/dloc");
+    expect_close(grads[0][2], grads[1][2], n / numel_of(c.scale), "d/dscale");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
