@@ -186,7 +186,12 @@ GuidedBNN::GuidedBNN(tx::nn::ModulePtr net, PriorPtr prior,
 }
 
 Tensor GuidedBNN::guided_forward(const std::vector<Tensor>& inputs) {
-  tx::ppl::Trace guide_trace = tx::ppl::trace_fn([this] { (*guide_)(); });
+  return guided_forward(inputs, guide_->draw_program());
+}
+
+Tensor GuidedBNN::guided_forward(const std::vector<Tensor>& inputs,
+                                 const tx::infer::Program& draw) {
+  tx::ppl::Trace guide_trace = tx::ppl::trace_fn(draw);
   tx::ppl::ReplayMessenger replay(guide_trace);
   tx::ppl::HandlerScope scope(replay);
   return sampled_forward(inputs);
@@ -365,8 +370,12 @@ Tensor VariationalBNN::predict(const std::vector<Tensor>& inputs,
   // an honest num_predictions=k run would make (same seed, same RNG stream
   // prefix), which is the bitwise prefix-truncation contract guard_test
   // pins down. The likelihood guide (if any) plays no role in the forward.
+  // One draw program serves every sample: the parameters cannot change
+  // under the NoGradGuard, so the guide may build its distributions once,
+  // and they die with this call.
+  const tx::infer::Program draw = guide_->draw_program();
   std::vector<Tensor> draws = draw_guarded(
-      num_predictions, [&] { return guided_forward(inputs).detach(); });
+      num_predictions, [&] { return guided_forward(inputs, draw).detach(); });
   return finish_predict(draws, *likelihood_, aggregate);
 }
 

@@ -94,6 +94,11 @@ class GuidedBNN : public BNNBase {
   }
 
  protected:
+  /// Forward pass with weights drawn by `draw`, one of the guide's draw
+  /// programs (predict reuses one across its posterior samples).
+  Tensor guided_forward(const std::vector<Tensor>& inputs,
+                        const tx::infer::Program& draw);
+
   guides::GuidePtr guide_;
 };
 

@@ -36,6 +36,10 @@ InitLocFn init_to_value(std::map<std::string, Tensor> values) {
   };
 }
 
+Program Guide::draw_program() {
+  return [this] { (*this)(); };
+}
+
 AutoGuide::AutoGuide(Program model, std::string prefix, ppl::ParamStore* store)
     : model_(std::move(model)),
       prefix_(std::move(prefix)),
@@ -79,24 +83,42 @@ Tensor AutoNormal::scale_param(const ppl::SiteRecord& site) {
       [&] { return full(site.distribution->shape(), u0); });
 }
 
+std::shared_ptr<dist::Normal> AutoNormal::build_distribution(
+    const ppl::SiteRecord& site) {
+  Tensor loc = loc_param(site);
+  if (!config_.train_loc) loc = loc.detach();
+  Tensor scale = softplus(scale_param(site));
+  if (config_.max_scale > 0.0f) scale = clamp_max(scale, config_.max_scale);
+  if (!config_.train_scale) scale = scale.detach();
+  return std::make_shared<dist::Normal>(loc, scale);
+}
+
 std::shared_ptr<dist::Normal> AutoNormal::site_distribution(
     const std::string& name) {
   for (const auto& site : latent_sites()) {
-    if (site.name != name) continue;
-    Tensor loc = loc_param(site);
-    if (!config_.train_loc) loc = loc.detach();
-    Tensor scale = softplus(scale_param(site));
-    if (config_.max_scale > 0.0f) scale = clamp_max(scale, config_.max_scale);
-    if (!config_.train_scale) scale = scale.detach();
-    return std::make_shared<dist::Normal>(loc, scale);
+    if (site.name == name) return build_distribution(site);
   }
   TX_THROW("AutoNormal: unknown site '", name, "'");
 }
 
 void AutoNormal::operator()() {
   for (const auto& site : latent_sites()) {
-    ppl::sample(site.name, site_distribution(site.name));
+    ppl::sample(site.name, build_distribution(site));
   }
+}
+
+Program AutoNormal::draw_program() {
+  // The first run builds each site's distribution right before sampling it,
+  // as operator()() does, so parameters created lazily on that run draw
+  // their initial values in the same RNG order; later runs only sample.
+  auto built = std::make_shared<std::vector<dist::DistPtr>>();
+  return [this, built] {
+    const auto& sites = latent_sites();
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      if (i == built->size()) built->push_back(build_distribution(sites[i]));
+      ppl::sample(sites[i].name, (*built)[i]);
+    }
+  };
 }
 
 std::map<std::string, dist::DistPtr> AutoNormal::get_detached_distributions(

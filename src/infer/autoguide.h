@@ -37,6 +37,13 @@ class Guide {
   virtual ~Guide() = default;
   /// The guide program: samples every latent site of the model.
   virtual void operator()() = 0;
+  /// A program that samples every latent site like operator()(), for a
+  /// caller that runs it many times while the parameters cannot change: the
+  /// posterior-predictive draws of one predict call. Each call returns a
+  /// fresh program, so nothing it builds outlives the caller's use of it;
+  /// the program refers to this guide and must not outlive it. The default
+  /// re-runs operator()().
+  virtual Program draw_program();
   /// Per-site variational distributions with detached parameters; the hook
   /// variational continual learning uses to turn a posterior into a prior.
   virtual std::map<std::string, dist::DistPtr> get_detached_distributions(
@@ -81,6 +88,9 @@ class AutoNormal : public AutoGuide {
              std::string prefix = "guide", ppl::ParamStore* store = nullptr);
 
   void operator()() override;
+  /// Builds each site's Normal once, during the program's first run, and
+  /// samples the same distributions on every later run.
+  Program draw_program() override;
   std::map<std::string, dist::DistPtr> get_detached_distributions(
       const std::vector<std::string>& sites) override;
 
@@ -90,6 +100,7 @@ class AutoNormal : public AutoGuide {
  private:
   Tensor loc_param(const ppl::SiteRecord& site);
   Tensor scale_param(const ppl::SiteRecord& site);
+  std::shared_ptr<dist::Normal> build_distribution(const ppl::SiteRecord& site);
 
   AutoNormalConfig config_;
 };

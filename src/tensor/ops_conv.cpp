@@ -205,23 +205,50 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
   if (has_bias) inputs.push_back(bias);
   return make_tensor_from_op(
       "conv2d", Shape{d.n, d.oc, d.oh, d.ow}, std::move(out), inputs,
-      [x, weight, d, patch, spatial, has_bias](const Tensor& g) {
-        Tensor gx = zeros(x.shape());
-        Tensor gw = zeros(weight.shape());
+      [x, weight, bias, d, patch, spatial](const Tensor& g) {
+        // Only the inputs that require grad get one: a skipped gx runs
+        // neither the dcols gemm nor col2im, a skipped gw neither im2col
+        // nor the dW gemm.
+        const bool need_x = x.requires_grad();
+        const bool need_w = weight.requires_grad();
+        const bool need_b = bias.requires_grad();
+        Tensor gx = need_x ? zeros(x.shape()) : Tensor();
+        Tensor gw = need_w ? zeros(weight.shape()) : Tensor();
         obs::ScopedTimer span(
             "par.conv2d_bwd",
             obs::tracing() ? conv_trace_args(d) : std::string());
         const std::int64_t wsize = weight.numel();
         const std::int64_t g_numel = d.n * d.oc * spatial;
-        // Two gemms per image (dW and dcols): 4·n·patch·spatial·oc flops;
-        // g is read by both products, x/w are each read once and their
-        // gradients written once. The bias grad re-reads g and writes gb.
+        // Per gemm that runs (dW, dcols): 2·n·patch·spatial·oc flops, g read
+        // once, x/w each read once and one gradient written. The bias grad
+        // re-reads g and writes gb.
+        const std::int64_t products = int{need_x} + int{need_w};
         obs::prof::KernelScope prof(
             "conv2d_bwd",
-            4 * d.n * patch * spatial * d.oc +
-                (has_bias ? d.n * d.oc * spatial : 0),
-            4 * (2 * x.numel() + 2 * wsize + 2 * g_numel) +
-                (has_bias ? 4 * (g_numel + d.oc) : 0));
+            products * 2 * d.n * patch * spatial * d.oc +
+                (need_b ? d.n * d.oc * spatial : 0),
+            products * 4 * (x.numel() + wsize + g_numel) +
+                (need_b ? 4 * (g_numel + d.oc) : 0));
+        // One image's share: dW (oc, patch) += gout (oc, spatial) *
+        // cols (patch, spatial)^T into `gw_img`, and dcols (patch, spatial)
+        // = W (oc, patch)^T * gout (oc, spatial) scattered into gx.
+        const auto image = [&](std::int64_t img, float* gw_img,
+                               std::vector<float>& cols,
+                               std::vector<float>& gcols) {
+          const float* gout = g.data() + img * d.oc * spatial;
+          if (need_w) {
+            im2col(x.data() + img * d.ic * d.ih * d.iw, d, cols.data());
+            simd::gemm_bt_acc(gout, cols.data(), gw_img, d.oc, spatial, patch);
+          }
+          if (need_x) {
+            std::fill(gcols.begin(), gcols.end(), 0.0f);
+            simd::gemm_acc(weight.data(), 1, patch, gout, gcols.data(), patch,
+                           d.oc, spatial);
+            col2im(gcols.data(), d, gx.data() + img * d.ic * d.ih * d.iw);
+          }
+        };
+        const std::size_t cols_size =
+            static_cast<std::size_t>(patch * spatial);
         const std::int64_t flops = d.n * patch * spatial * d.oc;
         const bool fan_out = d.n > 1 && flops >= kConvParThreshold &&
                              d.n * wsize <= kConvPartialCap;
@@ -229,51 +256,40 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
           // Disjoint per-image gx plus per-image gw partials; the fold below
           // replays the sequential per-image accumulation order exactly.
           std::vector<float> gw_parts(
-              static_cast<std::size_t>(d.n * wsize), 0.0f);
+              need_w ? static_cast<std::size_t>(d.n * wsize) : 0, 0.0f);
           par::parallel_for(0, d.n, 1, [&](std::int64_t i0, std::int64_t i1) {
-            std::vector<float> cols(static_cast<std::size_t>(patch * spatial));
-            std::vector<float> gcols(static_cast<std::size_t>(patch * spatial));
+            std::vector<float> cols(need_w ? cols_size : 0);
+            std::vector<float> gcols(need_x ? cols_size : 0);
             for (std::int64_t img = i0; img < i1; ++img) {
-              const float* gout = g.data() + img * d.oc * spatial;
-              im2col(x.data() + img * d.ic * d.ih * d.iw, d, cols.data());
-              simd::gemm_bt_acc(gout, cols.data(),
-                                gw_parts.data() + img * wsize, d.oc, spatial,
-                                patch);
-              std::fill(gcols.begin(), gcols.end(), 0.0f);
-              simd::gemm_acc(weight.data(), 1, patch, gout, gcols.data(),
-                             patch, d.oc, spatial);
-              col2im(gcols.data(), d, gx.data() + img * d.ic * d.ih * d.iw);
+              image(img, need_w ? gw_parts.data() + img * wsize : nullptr,
+                    cols, gcols);
             }
           });
-          float* pw = gw.data();
-          for (std::int64_t img = 0; img < d.n; ++img) {
-            simd::add_n(pw, gw_parts.data() + img * wsize, pw, wsize);
+          if (need_w) {
+            float* pw = gw.data();
+            for (std::int64_t img = 0; img < d.n; ++img) {
+              simd::add_n(pw, gw_parts.data() + img * wsize, pw, wsize);
+            }
           }
         } else {
-          std::vector<float> cols(static_cast<std::size_t>(patch * spatial));
-          std::vector<float> gcols(static_cast<std::size_t>(patch * spatial));
+          std::vector<float> cols(need_w ? cols_size : 0);
+          std::vector<float> gcols(need_x ? cols_size : 0);
           for (std::int64_t img = 0; img < d.n; ++img) {
-            const float* gout = g.data() + img * d.oc * spatial;
-            // dW (oc, patch) += gout (oc, spatial) * cols (patch, spatial)^T
-            im2col(x.data() + img * d.ic * d.ih * d.iw, d, cols.data());
-            simd::gemm_bt_acc(gout, cols.data(), gw.data(), d.oc, spatial,
-                              patch);
-            // dcols (patch, spatial) = W (oc, patch)^T * gout (oc, spatial)
-            std::fill(gcols.begin(), gcols.end(), 0.0f);
-            simd::gemm_acc(weight.data(), 1, patch, gout, gcols.data(), patch,
-                           d.oc, spatial);
-            col2im(gcols.data(), d, gx.data() + img * d.ic * d.ih * d.iw);
+            image(img, need_w ? gw.data() : nullptr, cols, gcols);
           }
         }
         std::vector<Tensor> grads{gx, gw};
-        if (has_bias) {
-          Tensor gb = zeros(Shape{d.oc});
-          for (std::int64_t img = 0; img < d.n; ++img) {
-            for (std::int64_t c = 0; c < d.oc; ++c) {
-              const float* src = g.data() + (img * d.oc + c) * spatial;
-              float acc = 0.0f;
-              for (std::int64_t s = 0; s < spatial; ++s) acc += src[s];
-              gb.at(c) += acc;
+        if (bias.defined()) {
+          Tensor gb;
+          if (need_b) {
+            gb = zeros(Shape{d.oc});
+            for (std::int64_t img = 0; img < d.n; ++img) {
+              for (std::int64_t c = 0; c < d.oc; ++c) {
+                const float* src = g.data() + (img * d.oc + c) * spatial;
+                float acc = 0.0f;
+                for (std::int64_t s = 0; s < spatial; ++s) acc += src[s];
+                gb.at(c) += acc;
+              }
             }
           }
           grads.push_back(gb);

@@ -103,18 +103,21 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return make_tensor_from_op(
       "matmul", Shape{m, n}, std::move(out), {a, b},
       [a, b, m, k, n](const Tensor& g) {
-        // dA = g * B^T, dB = A^T * g.
-        Tensor ga = zeros(Shape{m, k});
-        Tensor gb = zeros(Shape{k, n});
+        // dA = g * B^T, dB = A^T * g; an input that does not require grad
+        // gets an undefined gradient and its product never runs.
+        const bool need_a = a.requires_grad(), need_b = b.requires_grad();
+        Tensor ga = need_a ? zeros(Shape{m, k}) : Tensor();
+        Tensor gb = need_b ? zeros(Shape{k, n}) : Tensor();
         obs::ScopedTimer span("par.matmul_bwd", obs::tracing()
                                                     ? gemm_trace_args(1, m, k, n)
                                                     : std::string());
-        // Two products (dA = g B^T, dB = A^T g): 4mkn flops, each of g/A/B
-        // read once per product and each gradient written once.
-        obs::prof::KernelScope prof("matmul_bwd", 4 * m * k * n,
-                                    8 * (m * n + m * k + k * n));
-        gemm_bt_dispatch(g.data(), b.data(), ga.data(), m, n, k);
-        gemm_at_dispatch(a.data(), g.data(), gb.data(), m, k, n);
+        // Per product that runs: 2mkn flops, g and the other operand read
+        // once and the gradient written once.
+        const std::int64_t products = int{need_a} + int{need_b};
+        obs::prof::KernelScope prof("matmul_bwd", products * 2 * m * k * n,
+                                    products * 4 * (m * n + m * k + k * n));
+        if (need_a) gemm_bt_dispatch(g.data(), b.data(), ga.data(), m, n, k);
+        if (need_b) gemm_at_dispatch(a.data(), g.data(), gb.data(), m, k, n);
         return std::vector<Tensor>{ga, gb};
       });
 }
@@ -146,22 +149,31 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
   return make_tensor_from_op(
       "bmm", Shape{batch, m, n}, std::move(out), {a, b},
       [a, b, batch, m, k, n](const Tensor& g) {
-        Tensor ga = zeros(Shape{batch, m, k});
-        Tensor gb = zeros(Shape{batch, k, n});
+        // As in matmul: only the inputs that require grad get a product.
+        const bool need_a = a.requires_grad(), need_b = b.requires_grad();
+        Tensor ga = need_a ? zeros(Shape{batch, m, k}) : Tensor();
+        Tensor gb = need_b ? zeros(Shape{batch, k, n}) : Tensor();
         obs::ScopedTimer span("par.bmm_bwd", obs::tracing()
                                                  ? gemm_trace_args(batch, m, k, n)
                                                  : std::string());
-        obs::prof::KernelScope prof("bmm_bwd", 4 * batch * m * k * n,
-                                    8 * batch * (m * n + m * k + k * n));
+        const std::int64_t products = int{need_a} + int{need_b};
+        obs::prof::KernelScope prof(
+            "bmm_bwd", products * 2 * batch * m * k * n,
+            products * 4 * batch * (m * n + m * k + k * n));
         const std::int64_t grain =
             batch * m * k * n < kParFlopThreshold ? batch : 1;
         par::parallel_for(
             0, batch, grain, [&](std::int64_t b0, std::int64_t b1) {
               for (std::int64_t i = b0; i < b1; ++i) {
-                simd::gemm_bt_acc(g.data() + i * m * n, b.data() + i * k * n,
-                                  ga.data() + i * m * k, m, n, k);
-                gemm_at_rows(a.data() + i * m * k, g.data() + i * m * n,
-                             gb.data() + i * k * n, m, k, n, 0, k);
+                if (need_a) {
+                  simd::gemm_bt_acc(g.data() + i * m * n,
+                                    b.data() + i * k * n,
+                                    ga.data() + i * m * k, m, n, k);
+                }
+                if (need_b) {
+                  gemm_at_rows(a.data() + i * m * k, g.data() + i * m * n,
+                               gb.data() + i * k * n, m, k, n, 0, k);
+                }
               }
             });
         return std::vector<Tensor>{ga, gb};

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "core/tyxe.h"
 
@@ -392,6 +396,144 @@ TEST(SelectiveMask, MasksLikelihoodInBnnFit) {
   Tensor garbage_probs = tx::slice(probs, 0, 16, 32);
   Tensor garbage_y = tx::slice(y, 0, 16, 32);
   EXPECT_GT(bnn->likelihood().error(garbage_probs, garbage_y).item(), 0.7);
+}
+
+// ---- posterior-predictive draws ---------------------------------------------
+//
+// predict() runs one draw program per call: AutoNormal builds its site
+// distributions during the first draw and only samples them afterwards;
+// other guides re-run their program. Either way predict(x, S, false) must be
+// the S sequential guided forwards an honest loop makes, bit for bit, and a
+// later call must see the parameters as they are then.
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+/// S sequential guided_forward calls from the current RNG state.
+Tensor sequential_draws(VariationalBNN& bnn, const Tensor& x, int s) {
+  tx::NoGradGuard ng;
+  std::vector<Tensor> draws;
+  for (int i = 0; i < s; ++i) draws.push_back(bnn.guided_forward(x).detach());
+  return tx::stack(draws, 0);
+}
+
+/// The same draws with the guide program itself traced and replayed, no
+/// draw program involved.
+Tensor guide_program_draws(VariationalBNN& bnn, const Tensor& x, int s) {
+  tx::NoGradGuard ng;
+  std::vector<Tensor> draws;
+  for (int i = 0; i < s; ++i) {
+    tx::ppl::Trace tr = tx::ppl::trace_fn([&] { bnn.net_guide()(); });
+    tx::ppl::ReplayMessenger replay(tr);
+    tx::ppl::HandlerScope scope(replay);
+    draws.push_back(bnn.sampled_forward(x).detach());
+  }
+  return tx::stack(draws, 0);
+}
+
+struct GuideCase {
+  std::string name;
+  guides::GuideFactory factory;
+  bool stochastic;
+};
+
+std::vector<GuideCase> guide_cases() {
+  guides::AutoNormalConfig clipped;
+  clipped.init_scale = 0.3f;
+  clipped.max_scale = 0.2f;  // below the initial scale, so the clamp bites
+  guides::AutoNormalConfig fixed_loc;
+  fixed_loc.train_loc = false;
+  guides::AutoNormalConfig fixed_scale;
+  fixed_scale.train_scale = false;
+  guides::AutoNormalConfig all = clipped;
+  all.train_loc = false;
+  all.train_scale = false;
+  return {
+      {"auto_normal", guides::auto_normal_factory(), true},
+      {"max_scale", guides::auto_normal_factory(clipped), true},
+      {"train_loc_false", guides::auto_normal_factory(fixed_loc), true},
+      {"train_scale_false", guides::auto_normal_factory(fixed_scale), true},
+      {"all_knobs", guides::auto_normal_factory(all), true},
+      {"auto_delta", guides::auto_delta_factory(), false},
+      {"low_rank", guides::auto_lowrank_factory(3, 0.1f), true},
+  };
+}
+
+/// A fresh regression BNN from a fixed seed, optionally fit for a few steps
+/// so that every parameter exists and has moved off its initial value.
+struct Fixture {
+  std::shared_ptr<VariationalBNN> bnn;
+  Tensor x;
+  std::vector<Batch> data;
+  std::shared_ptr<tx::infer::Adam> optim;
+};
+
+Fixture fixture(const guides::GuideFactory& factory, int fit_steps) {
+  tx::manual_seed(21);
+  tx::Generator gen(21);
+  Fixture f;
+  auto [x, y] = make_regression_data(16, gen);
+  f.x = x;
+  f.data = {{{x}, y}};
+  f.bnn = std::make_shared<VariationalBNN>(
+      tx::nn::make_mlp({1, 12, 12, 1}, "tanh", &gen),
+      std::make_shared<IIDPrior>(std::make_shared<nd::Normal>(0.0f, 1.0f)),
+      std::make_shared<HomoskedasticGaussian>(16, 0.1f), factory);
+  f.optim = std::make_shared<tx::infer::Adam>(1e-2);
+  if (fit_steps > 0) f.bnn->fit(f.data, f.optim, fit_steps);
+  return f;
+}
+
+TEST(PredictDraws, EqualSequentialGuidedForwardsBitForBit) {
+  constexpr int kDraws = 5;
+  for (const GuideCase& c : guide_cases()) {
+    // 0 fit steps: the first draw creates the guide's parameters lazily.
+    for (const int fit_steps : {0, 3}) {
+      SCOPED_TRACE(c.name + " after " + std::to_string(fit_steps) + " steps");
+      Fixture a = fixture(c.factory, fit_steps);
+      tx::manual_seed(22);
+      const Tensor hoisted = a.bnn->predict(a.x, kDraws, /*aggregate=*/false);
+      Fixture b = fixture(c.factory, fit_steps);
+      tx::manual_seed(22);
+      const Tensor sequential = sequential_draws(*b.bnn, b.x, kDraws);
+      Fixture r = fixture(c.factory, fit_steps);
+      tx::manual_seed(22);
+      const Tensor reference = guide_program_draws(*r.bnn, r.x, kDraws);
+      ASSERT_EQ(hoisted.shape(), (Shape{kDraws, 16, 1}));
+      EXPECT_TRUE(same_bits(hoisted, sequential));
+      EXPECT_TRUE(same_bits(hoisted, reference));
+      const bool rows_differ =
+          !same_bits(tx::slice(hoisted, 0, 0, 1), tx::slice(hoisted, 0, 1, 2));
+      EXPECT_EQ(rows_differ, c.stochastic);
+    }
+  }
+}
+
+TEST(PredictDraws, APredictAfterAnOptimizerStepSeesTheNewScales) {
+  // Means frozen, so the step moves the scales only.
+  guides::AutoNormalConfig cfg;
+  cfg.train_loc = false;
+  Fixture f = fixture(guides::auto_normal_factory(cfg), 2);
+  auto& store = f.bnn->param_store();
+  const std::string loc = "guide.loc.net.0.weight";
+  const std::string scale = "guide.scale_unconstrained.net.0.weight";
+  const Tensor loc_before = store.get(loc).clone();
+  const Tensor scale_before = store.get(scale).clone();
+  tx::manual_seed(30);
+  const Tensor before = f.bnn->predict(f.x, 4, /*aggregate=*/false);
+
+  f.bnn->fit(f.data, f.optim, 1);
+  ASSERT_TRUE(same_bits(store.get(loc), loc_before));
+  ASSERT_FALSE(same_bits(store.get(scale), scale_before));
+  tx::manual_seed(30);
+  const Tensor after = f.bnn->predict(f.x, 4, /*aggregate=*/false);
+  tx::manual_seed(30);
+  const Tensor reference = guide_program_draws(*f.bnn, f.x, 4);
+  EXPECT_TRUE(same_bits(after, reference));
+  EXPECT_FALSE(same_bits(after, before));
 }
 
 }  // namespace

@@ -242,6 +242,36 @@ TEST_F(GuardTest, ExpiredBudgetStillDeliversTheFirstSample) {
   expect_bitwise_equal(honest, truncated);
 }
 
+TEST_F(GuardTest, TruncatedPredictIsTheBitwisePrefixOfTheFullDraws) {
+  // predict() reuses one draw program across its samples; after a few SVI
+  // steps every guide parameter exists, so the draws after the first only
+  // sample the distributions the first one built. A truncated run must
+  // still return exactly the first k draws of the full run.
+  tx::par::set_num_threads(1);
+  tx::manual_seed(41);
+  tx::Generator gen(41);
+  auto [x, y] = make_regression_data(16, gen);
+  auto bnn = make_regression_bnn(gen, 16);
+  bnn->fit({{{x}, y}}, std::make_shared<tx::infer::Adam>(1e-2), 3);
+  tx::manual_seed(42);
+  const Tensor full = bnn->predict({x}, 6, /*aggregate=*/false);
+  guard::Budget budget;
+  budget.set_sample_cap(2);
+  tx::manual_seed(42);
+  Tensor truncated;
+  {
+    guard::BudgetScope scope(budget);
+    truncated = bnn->predict({x}, 6, /*aggregate=*/false);
+  }
+  EXPECT_TRUE(guard::last_predict_status().degraded);
+  EXPECT_EQ(guard::last_predict_status().completed, 2);
+  ASSERT_EQ(truncated.dim(0), 2);
+  expect_bitwise_equal(truncated, tx::slice(full, 0, 0, 2));
+  EXPECT_FALSE(std::memcmp(full.data(), full.data() + x.numel(),
+                           sizeof(float) * static_cast<std::size_t>(x.numel())) ==
+               0);
+}
+
 TEST_F(GuardTest, GuardedPredictWithinBudgetIsNotDegraded) {
   guard::Budget budget(3600.0);
   const std::int64_t dropped_before =

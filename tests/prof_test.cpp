@@ -142,6 +142,38 @@ TEST_F(ProfTest, Conv2dForwardBackwardClosedFormWithBias) {
                            4 * (out_numel + oc));
 }
 
+// A backward counts only the products that run: an input that does not
+// require grad (data, or a frozen operand) costs neither flops nor bytes.
+TEST_F(ProfTest, BackwardCountsOnlyTheGradientsThatRun) {
+  const std::int64_t m = 6, k = 5, n = 4;
+  tx::Generator gen(0);
+  Tensor a = tx::randn({m, k}, &gen);
+  Tensor b = tx::randn({k, n}, &gen).set_requires_grad(true);
+  tx::sum(tx::matmul(a, b)).backward();
+  const std::int64_t batch = 3;
+  Tensor ba = tx::randn({batch, m, k}, &gen).set_requires_grad(true);
+  Tensor bb = tx::randn({batch, k, n}, &gen);
+  tx::sum(tx::bmm(ba, bb)).backward();
+  const std::int64_t N = 2, ic = 3, ih = 8, iw = 8, oc = 4;
+  const std::int64_t patch = ic * 3 * 3, spatial = ih * iw;
+  const std::int64_t x_numel = N * ic * ih * iw, w_numel = oc * patch;
+  const std::int64_t out_numel = N * oc * spatial;
+  Tensor x = tx::randn({N, ic, ih, iw}, &gen);
+  Tensor w = tx::randn({oc, ic, 3, 3}, &gen).set_requires_grad(true);
+  Tensor bias = tx::randn({oc}, &gen);
+  tx::sum(tx::conv2d(x, w, bias, 1, 1)).backward();
+
+  const auto table = obs::prof::kernel_table();
+  EXPECT_EQ(table.at("matmul_bwd").flops, 2 * m * k * n);
+  EXPECT_EQ(table.at("matmul_bwd").bytes, 4 * (m * n + m * k + k * n));
+  EXPECT_EQ(table.at("bmm_bwd").flops, 2 * batch * m * k * n);
+  EXPECT_EQ(table.at("bmm_bwd").bytes, 4 * batch * (m * n + m * k + k * n));
+  const auto& conv = table.at("conv2d_bwd");
+  EXPECT_EQ(conv.calls, 1);
+  EXPECT_EQ(conv.flops, 2 * N * patch * spatial * oc);
+  EXPECT_EQ(conv.bytes, 4 * (x_numel + w_numel + out_numel));
+}
+
 TEST_F(ProfTest, Conv2dNoBiasDropsBiasTerms) {
   const std::int64_t N = 1, ic = 2, ih = 6, iw = 6, oc = 3, kh = 3, kw = 3;
   const std::int64_t oh = ih - kh + 1, ow = iw - kw + 1;
