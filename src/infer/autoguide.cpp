@@ -101,16 +101,12 @@ std::shared_ptr<dist::Normal> AutoNormal::site_distribution(
   TX_THROW("AutoNormal: unknown site '", name, "'");
 }
 
-void AutoNormal::operator()() {
-  for (const auto& site : latent_sites()) {
-    ppl::sample(site.name, build_distribution(site));
-  }
-}
+void AutoNormal::operator()() { draw_program()(); }
 
 Program AutoNormal::draw_program() {
   // The first run builds each site's distribution right before sampling it,
-  // as operator()() does, so parameters created lazily on that run draw
-  // their initial values in the same RNG order; later runs only sample.
+  // so parameters created lazily on that run draw their initial values in
+  // site order, interleaved with the draws; later runs only sample.
   auto built = std::make_shared<std::vector<dist::DistPtr>>();
   return [this, built] {
     const auto& sites = latent_sites();

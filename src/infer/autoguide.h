@@ -87,6 +87,7 @@ class AutoNormal : public AutoGuide {
   AutoNormal(Program model, AutoNormalConfig config = {},
              std::string prefix = "guide", ppl::ParamStore* store = nullptr);
 
+  /// One run of a fresh draw_program().
   void operator()() override;
   /// Builds each site's Normal once, during the program's first run, and
   /// samples the same distributions on every later run.
