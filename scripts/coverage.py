@@ -19,7 +19,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src") + os.sep
-FLOOR = 94.8   # percent of src/ lines; see CHANGES.md for the measurements
+FLOOR = 95.1   # percent of src/ lines; see CHANGES.md for the measurements
 LOWEST = 10
 BLOCK = re.compile(r"File '([^']+)'\nLines executed:([\d.]+)% of (\d+)")
 

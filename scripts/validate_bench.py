@@ -12,8 +12,9 @@ auto-detected by shape, checkpoints are text-framed binary selected with
 * Metric snapshots (tx.obs.v1, written by EventSink::write_snapshot): checks
   the structural contract documented in docs/observability.md — top-level
   schema/bench strings, integer counters, numeric gauges, histogram summaries
-  with the required numeric fields and a well-formed bucket list, and numeric
-  series arrays.
+  with the required numeric fields, p50 <= p90 <= p99, and a well-formed
+  bucket list (finite `le` strictly ascending, "inf" only on the last
+  bucket, non-negative integer counts), and numeric series arrays.
 * Chrome traces (tx.trace.v1, written by obs::write_trace): checks the file
   is well-formed JSON with a traceEvents list, that every event carries
   ph/pid/tid (and a numeric ts for non-metadata phases), that timestamps are
@@ -153,18 +154,40 @@ def validate_snapshot(path, doc):
             for field in ("sum", "mean", "min", "max", "p50", "p90", "p99"):
                 if field in h and not is_number(h[field]):
                     err(f"histogram '{name}' field '{field}' is not a number")
+            quantiles = [h.get(q) for q in ("p50", "p90", "p99")]
+            if all(is_number(q) for q in quantiles) and not (
+                quantiles[0] <= quantiles[1] <= quantiles[2]
+            ):
+                err(f"histogram '{name}' quantiles not ordered "
+                    f"(p50, p90, p99 = {quantiles})")
+            # No sum(buckets) == count check: a live /snapshot reads the
+            # cells with relaxed loads, so the two can disagree mid-record.
             buckets = h.get("buckets")
             if not isinstance(buckets, list):
                 err(f"histogram '{name}' buckets is not a list")
             else:
+                prev_le = None
                 for i, b in enumerate(buckets):
                     if not isinstance(b, dict) or "le" not in b or "count" not in b:
                         err(f"histogram '{name}' bucket {i} malformed: {b!r}")
                         continue
-                    if not (is_number(b["le"]) or b["le"] == "inf"):
-                        err(f"histogram '{name}' bucket {i} 'le' invalid: {b['le']!r}")
-                    if not isinstance(b["count"], int):
+                    le = b["le"]
+                    if le == "inf":
+                        if i != len(buckets) - 1:
+                            err(f"histogram '{name}' bucket {i} 'le' is 'inf' "
+                                "but is not the last bucket")
+                    elif not is_number(le):
+                        err(f"histogram '{name}' bucket {i} 'le' invalid: {le!r}")
+                    else:
+                        if prev_le is not None and le <= prev_le:
+                            err(f"histogram '{name}' bucket {i} 'le' {le} does "
+                                f"not ascend past {prev_le}")
+                        prev_le = le
+                    count = b["count"]
+                    if not isinstance(count, int) or isinstance(count, bool):
                         err(f"histogram '{name}' bucket {i} 'count' not an integer")
+                    elif count < 0:
+                        err(f"histogram '{name}' bucket {i} 'count' is negative")
 
     if not isinstance(doc["series"], dict):
         err("'series' must be an object")

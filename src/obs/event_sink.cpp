@@ -143,14 +143,11 @@ std::string EventSink::render_snapshot_json(
     o += ", \"buckets\": [";
     for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
       if (i > 0) o += ", ";
-      // Log-bucketed histograms carry an explicit +inf overflow bound;
-      // fixed-bucket ones leave the final overflow bucket boundless. Both
-      // render as the string "inf" (JSON numbers cannot spell infinity).
-      const bool finite_bound =
-          i < h.bounds.size() && std::isfinite(h.bounds[i]);
+      // The overflow bucket's +inf bound renders as the string "inf" (JSON
+      // numbers cannot spell infinity).
       o += "{\"le\": ";
-      o += finite_bound ? render_json_number(h.bounds[i])
-                        : std::string("\"inf\"");
+      o += std::isfinite(h.bounds[i]) ? render_json_number(h.bounds[i])
+                                      : std::string("\"inf\"");
       o += ", \"count\": " + std::to_string(h.bucket_counts[i]) + "}";
     }
     return o + "]}";

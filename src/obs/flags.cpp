@@ -69,6 +69,7 @@ BenchFlags parse_bench_flags(int& argc, char** argv) {
   flags.diag_path = path_flag(argc, argv, "--diag", "TYXE_DIAG");
 
   // Strip consumed arguments so downstream parsers never see them.
+  bool http_flag = false;  // a given --obs-http wins over TYXE_OBS_HTTP
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 ||
@@ -90,10 +91,12 @@ BenchFlags parse_bench_flags(int& argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--obs-http") == 0) {
       flags.http_port = 0;  // bare flag: ephemeral port
+      http_flag = true;
       continue;
     }
     if (std::strncmp(argv[i], "--obs-http=", 11) == 0) {
       flags.http_port = parse_http_port(argv[i] + 11, "--obs-http");
+      http_flag = true;
       continue;
     }
     argv[out++] = argv[i];
@@ -116,7 +119,7 @@ BenchFlags parse_bench_flags(int& argc, char** argv) {
       flags.watchdog = *v != '\0' && std::strcmp(v, "0") != 0;
     }
   }
-  if (flags.http_port < 0) {
+  if (!http_flag) {
     if (const char* v = std::getenv("TYXE_OBS_HTTP")) {
       if (*v != '\0') flags.http_port = parse_http_port(v, "TYXE_OBS_HTTP");
     }

@@ -38,8 +38,9 @@ struct BenchFlags {
   bool prof = false;       ///< profiler on (--prof or TYXE_PROF=1)
   bool pq = false;         ///< predictive-quality telemetry (--pq / TYXE_PQ=1)
   /// Live telemetry server port: -1 = off, 0 = bind an ephemeral port,
-  /// otherwise the literal TCP port. From --obs-http[=PORT] or TYXE_OBS_HTTP
-  /// (""/"off"/"0" off, "auto" ephemeral, number = port).
+  /// otherwise the literal TCP port. From --obs-http[=PORT] or, when that
+  /// flag is absent, TYXE_OBS_HTTP (""/"off"/"0" off, "auto" ephemeral,
+  /// number = port).
   int http_port = -1;
   bool watchdog = false;  ///< stall watchdog (--watchdog / TYXE_WATCHDOG=1)
 };

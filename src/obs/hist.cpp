@@ -13,41 +13,6 @@ void LogHistogram::record(double v) {
   detail::atomic_max_double(max_bits_, v);
 }
 
-void LogHistogram::merge_from(const LogHistogram& other) {
-  for (int i = 0; i < kBuckets; ++i) {
-    const std::int64_t n =
-        other.buckets_[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed);
-    if (n != 0) {
-      buckets_[static_cast<std::size_t>(i)].fetch_add(
-          n, std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  detail::atomic_add_double(
-      sum_bits_,
-      detail::unpack_double(other.sum_bits_.load(std::memory_order_relaxed)));
-  detail::atomic_min_double(
-      min_bits_,
-      detail::unpack_double(other.min_bits_.load(std::memory_order_relaxed)));
-  detail::atomic_max_double(
-      max_bits_,
-      detail::unpack_double(other.max_bits_.load(std::memory_order_relaxed)));
-}
-
-void LogHistogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(detail::pack_double(0.0), std::memory_order_relaxed);
-  min_bits_.store(
-      detail::pack_double(std::numeric_limits<double>::infinity()),
-      std::memory_order_relaxed);
-  max_bits_.store(
-      detail::pack_double(-std::numeric_limits<double>::infinity()),
-      std::memory_order_relaxed);
-}
-
 int LogHistogram::index_of(double v) {
   if (!(v > 0.0)) return 0;               // <= 0 and NaN -> underflow
   if (std::isinf(v)) return kBuckets - 1; // frexp(inf) is unspecified

@@ -1,10 +1,5 @@
-// Deterministic log-bucketed (HDR-style) latency histograms.
-//
-// The reservoir-based quantiles of obs::Histogram are cheap but not
-// mergeable: two workers' reservoirs cannot be combined into the reservoir
-// of the concatenated stream, so p50/p99 over a tx::par run (or, later,
-// over serving replicas) were only estimates of one shard. LogHistogram
-// replaces them for duration metrics with the classic HDR construction:
+// Deterministic log-bucketed (HDR-style) histograms, the registry's one
+// histogram kind (MetricsRegistry::log_histogram()).
 //
 //   * Every instance shares ONE fixed bucket layout: the seconds axis from
 //     2^kMinExp (~0.93 ns) to 2^kMaxExp (1024 s) is split into octaves
@@ -13,23 +8,18 @@
 //     an overflow bucket. The value -> index map is a pure O(1) function of
 //     the double's exponent and top mantissa bits (std::frexp), identical on
 //     every platform, so bucket counts are bitwise-reproducible.
-//   * record() is lock-free: one fetch_add on the bucket, plus the same
-//     count/sum/min/max cells obs::Histogram maintains.
-//   * merge_from() adds bucket counts integer-for-integer, so
-//     merge(h(A), h(B)) has exactly the bucket counts of h(A ++ B) — the
-//     property tested in tests/hist_test.cpp and relied on by anything that
-//     aggregates per-worker histograms.
+//   * record() is lock-free: one fetch_add on the bucket plus relaxed
+//     count/sum/min/max cells, so tx::par workers record into one shared
+//     histogram and its bucket counts do not depend on the schedule.
 //   * Quantiles come from the buckets: the estimate is the midpoint of the
 //     bucket containing the target rank, clamped to the observed [min, max].
 //     Relative error is bounded by half a subbucket width over the bucket's
 //     lower edge: kMaxRelativeError = 1 / (2 * kSub) (1.5625% at kSubBits
 //     = 5). The bound is enforced against exact sorted quantiles by the
-//     property tests.
+//     property tests in tests/hist_test.cpp.
 //
-// The registry exposes these via MetricsRegistry::log_histogram(); snapshots
-// fold into the same HistogramSnapshot shape as fixed-bucket histograms
-// (trimmed to the non-empty bucket range) so the tx.obs.v1 schema, the
-// Prometheus renderer, and bench_diff.py see one histogram namespace.
+// Snapshots are trimmed to the non-empty bucket range, which is the shape the
+// tx.obs.v1 schema, the Prometheus renderer, and bench_diff.py read.
 #pragma once
 
 #include <array>
@@ -43,8 +33,7 @@ namespace tx::obs {
 
 class LogHistogram {
  public:
-  // Layout constants. Shared by every instance (merge compatibility is
-  // guaranteed by construction, never negotiated at runtime).
+  // Layout constants, shared by every instance.
   static constexpr int kSubBits = 5;
   static constexpr int kSub = 1 << kSubBits;  // subbuckets per octave
   static constexpr int kMinExp = -30;         // lowest octave: [2^-30, 2^-29)
@@ -65,16 +54,8 @@ class LogHistogram {
 
   std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
 
-  /// Exact merge: integer-adds other's bucket counts (and count/min/max;
-  /// sum is a double accumulation, exact only up to FP addition order).
-  void merge_from(const LogHistogram& other);
-
-  /// Zero every cell (tests / bench isolation; not thread-safe vs record).
-  void reset();
-
-  /// Point-in-time view in the shared HistogramSnapshot shape: bounds are
-  /// the upper edges of the trimmed non-empty bucket range, representatives
-  /// their midpoints, samples empty (quantiles come from the buckets).
+  /// Point-in-time view: bounds are the upper edges of the trimmed
+  /// non-empty bucket range, representatives their midpoints.
   HistogramSnapshot snapshot() const;
 
   // ---- the pure value <-> bucket mapping (unit-tested directly) ----------

@@ -75,13 +75,12 @@ std::string render_prometheus(MetricsRegistry& reg) {
   for (const auto& [name, h] : reg.histograms()) {
     const std::string pname = prometheus_name(name);
     out += "# TYPE " + pname + " histogram\n";
-    // Cumulative le-buckets. Non-finite bounds (the log kind's explicit
-    // overflow bucket) fold into the final +Inf line, which always equals
-    // the total count.
+    // Cumulative le-buckets. The overflow bucket's +inf bound folds into the
+    // final +Inf line, which always equals the total count.
     std::int64_t cum = 0;
     for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
       cum += h.bucket_counts[i];
-      if (i < h.bounds.size() && std::isfinite(h.bounds[i])) {
+      if (std::isfinite(h.bounds[i])) {
         out += pname + "_bucket{le=\"" + render_metric_number(h.bounds[i]) +
                "\"} " + std::to_string(cum) + "\n";
       }

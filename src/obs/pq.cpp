@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/event_sink.h"
+#include "obs/hist.h"
 #include "obs/registry.h"
 #include "obs/shard.h"
 #include "util/common.h"
@@ -200,8 +201,7 @@ void record_prediction(float confidence, double predictive_entropy,
   // Lock-free live mirror so /metrics scrapes see a tx_pq_* histogram
   // filling mid-run, not just the end-of-batch gauges.
   registry()
-      .histogram("pq.confidence." + current_stream(),
-                 {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
+      .log_histogram("pq.confidence." + current_stream())
       .record(confidence);
 }
 

@@ -1,10 +1,8 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/hist.h"
-#include "util/stats.h"
 
 namespace tx::obs {
 
@@ -44,11 +42,9 @@ void atomic_max_double(std::atomic<std::uint64_t>& cell, double v) {
 }  // namespace detail
 
 double HistogramSnapshot::quantile(double q) const {
-  if (!samples.empty()) return quantile_of(samples, q);
-  // Log-bucketed kind: locate the bucket holding the nearest-rank (lower)
-  // order statistic and return its midpoint, clamped to the observed range.
-  // Relative error vs the exact order statistic is bounded by
-  // LogHistogram::kMaxRelativeError.
+  // Locate the bucket holding the nearest-rank (lower) order statistic and
+  // return its midpoint, clamped to the observed range. Relative error vs
+  // the exact order statistic is bounded by LogHistogram::kMaxRelativeError.
   if (count <= 0 || representatives.empty()) return 0.0;
   const std::int64_t rank =
       static_cast<std::int64_t>(q * static_cast<double>(count - 1));
@@ -60,72 +56,6 @@ double HistogramSnapshot::quantile(double q) const {
     }
   }
   return max;
-}
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      buckets_(bounds_.size() + 1),
-      min_bits_(detail::pack_double(std::numeric_limits<double>::infinity())),
-      max_bits_(detail::pack_double(-std::numeric_limits<double>::infinity())),
-      reservoir_(kReservoirSize) {
-  TX_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
-           "Histogram: bucket bounds must be ascending");
-}
-
-std::vector<double> Histogram::exponential_bounds(double start, double factor,
-                                                  int count) {
-  TX_CHECK(start > 0.0 && factor > 1.0 && count >= 1,
-           "Histogram: bad exponential bucket spec");
-  std::vector<double> bounds;
-  bounds.reserve(static_cast<std::size_t>(count));
-  double b = start;
-  for (int i = 0; i < count; ++i) {
-    bounds.push_back(b);
-    b *= factor;
-  }
-  return bounds;
-}
-
-std::vector<double> Histogram::default_time_bounds() {
-  return exponential_bounds(1e-6, 4.0, 13);  // 1us .. ~17s
-}
-
-void Histogram::record(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  detail::atomic_add_double(sum_bits_, v);
-  detail::atomic_min_double(min_bits_, v);
-  detail::atomic_max_double(max_bits_, v);
-  const std::uint64_t slot =
-      reservoir_next_.fetch_add(1, std::memory_order_relaxed) % kReservoirSize;
-  reservoir_[slot].store(detail::pack_double(v), std::memory_order_relaxed);
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot snap;
-  snap.bounds = bounds_;
-  snap.bucket_counts.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    snap.bucket_counts.push_back(b.load(std::memory_order_relaxed));
-  }
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = detail::unpack_double(sum_bits_.load(std::memory_order_relaxed));
-  if (snap.count > 0) {
-    snap.min = detail::unpack_double(min_bits_.load(std::memory_order_relaxed));
-    snap.max = detail::unpack_double(max_bits_.load(std::memory_order_relaxed));
-  }
-  const std::uint64_t filled =
-      std::min<std::uint64_t>(reservoir_next_.load(std::memory_order_relaxed),
-                              kReservoirSize);
-  snap.samples.reserve(filled);
-  for (std::uint64_t i = 0; i < filled; ++i) {
-    snap.samples.push_back(
-        detail::unpack_double(reservoir_[i].load(std::memory_order_relaxed)));
-  }
-  std::sort(snap.samples.begin(), snap.samples.end());
-  return snap;
 }
 
 // Out of line so unique_ptr<LogHistogram> members destroy where the type is
@@ -147,17 +77,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    if (bounds.empty()) bounds = Histogram::default_time_bounds();
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *slot;
-}
-
 std::map<std::string, std::int64_t> MetricsRegistry::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::int64_t> out;
@@ -174,7 +93,7 @@ std::map<std::string, double> MetricsRegistry::gauges() const {
 
 LogHistogram& MetricsRegistry::log_histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = log_histograms_[name];
+  auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<LogHistogram>();
   return *slot;
 }
@@ -183,7 +102,6 @@ std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, HistogramSnapshot> out;
   for (const auto& [name, h] : histograms_) out.emplace(name, h->snapshot());
-  for (const auto& [name, h] : log_histograms_) out.emplace(name, h->snapshot());
   return out;
 }
 
@@ -192,7 +110,6 @@ void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  log_histograms_.clear();
 }
 
 MetricsRegistry& registry() {

@@ -64,15 +64,7 @@ ScopedTimer::~ScopedTimer() {
     trace_end(leaf(), end_args.to_json());
     trace_counter("mem.live_bytes",
                   static_cast<double>(mem::live_bytes()));
-    // Per-span net-allocation attribution; trace-mode only so the metrics
-    // hot path stays one histogram record per span.
-    registry()
-        .histogram("mem.span." + path_,
-                   Histogram::exponential_bounds(1024.0, 4.0, 12))
-        .record(static_cast<double>(net));
   }
-  // Log-bucketed (obs/hist.h) so per-worker span durations merge exactly
-  // across tx::par workers and quantiles stay mergeable.
   registry().log_histogram("span." + path_).record(seconds);
 }
 

@@ -1,14 +1,15 @@
 // Property tests for the log-bucketed LogHistogram (obs/hist.h): quantile
 // estimates must stay within the documented relative-error bound of the
-// exact sorted-order statistics across adversarial shapes, and merging
-// per-worker histograms must equal one histogram of the concatenated stream
-// bitwise on every bucket count.
+// exact sorted-order statistics across adversarial shapes, and threads
+// recording into one shared histogram must leave exactly the bucket counts
+// of one sequential stream.
 #include "obs/hist.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "obs/registry.h"
@@ -117,24 +118,32 @@ TEST(LogHistogramTest, QuantileErrorBoundHeavyTail) {
   expect_quantiles_close(h, values, "heavy-tail");
 }
 
-TEST(LogHistogramTest, MergeEqualsConcatenationBitwise) {
-  // Exact-merge contract: merging per-worker histograms equals one
-  // histogram fed the concatenated stream, bitwise on every bucket count.
+TEST(LogHistogramTest, ConcurrentRecordEqualsSequentialBitwise) {
+  // Workers share one histogram: recording a stream split across threads
+  // leaves exactly the bucket counts of the stream recorded in order.
   tx::Generator gen(17);
   constexpr int kWorkers = 5;
-  LogHistogram workers[kWorkers];
-  LogHistogram concatenated;
+  std::vector<double> values;
   for (int i = 0; i < 30000; ++i) {
-    const double v = std::exp(gen.uniform(-16.0, 4.0));
-    workers[i % kWorkers].record(v);
-    concatenated.record(v);
+    values.push_back(std::exp(gen.uniform(-16.0, 4.0)));
   }
-  LogHistogram merged;
-  for (const auto& w : workers) merged.merge_from(w);
+  LogHistogram shared;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      for (auto i = static_cast<std::size_t>(w); i < values.size();
+           i += kWorkers) {
+        shared.record(values[i]);
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  LogHistogram sequential;
+  for (const double v : values) sequential.record(v);
 
-  EXPECT_EQ(merged.count(), concatenated.count());
-  const HistogramSnapshot a = merged.snapshot();
-  const HistogramSnapshot b = concatenated.snapshot();
+  EXPECT_EQ(shared.count(), sequential.count());
+  const HistogramSnapshot a = shared.snapshot();
+  const HistogramSnapshot b = sequential.snapshot();
   ASSERT_EQ(a.bucket_counts.size(), b.bucket_counts.size());
   for (std::size_t i = 0; i < a.bucket_counts.size(); ++i) {
     EXPECT_EQ(a.bucket_counts[i], b.bucket_counts[i]) << "bucket " << i;
@@ -145,40 +154,6 @@ TEST(LogHistogramTest, MergeEqualsConcatenationBitwise) {
   // Quantiles agree exactly (same buckets, same counts, same clamp range).
   EXPECT_EQ(a.quantile(0.5), b.quantile(0.5));
   EXPECT_EQ(a.quantile(0.99), b.quantile(0.99));
-}
-
-TEST(LogHistogramTest, MergeFromEmptyOperandIsIdentity) {
-  // An empty operand must leave the target untouched — including min/max,
-  // which start at +/-inf sentinels an unguarded merge would propagate.
-  LogHistogram target;
-  target.record(0.25);
-  target.record(4.0);
-  const HistogramSnapshot before = target.snapshot();
-
-  const LogHistogram empty;
-  target.merge_from(empty);
-
-  const HistogramSnapshot after = target.snapshot();
-  EXPECT_EQ(after.count, before.count);
-  EXPECT_EQ(after.sum, before.sum);
-  EXPECT_EQ(after.min, before.min);
-  EXPECT_EQ(after.max, before.max);
-  ASSERT_EQ(after.bucket_counts.size(), before.bucket_counts.size());
-  for (std::size_t i = 0; i < after.bucket_counts.size(); ++i) {
-    EXPECT_EQ(after.bucket_counts[i], before.bucket_counts[i]) << "bucket " << i;
-  }
-  EXPECT_EQ(after.quantile(0.5), before.quantile(0.5));
-  EXPECT_EQ(after.quantile(0.99), before.quantile(0.99));
-
-  // Empty-into-empty stays a genuine empty histogram (count 0, no buckets),
-  // not one poisoned by the other's sentinels.
-  LogHistogram still_empty;
-  still_empty.merge_from(empty);
-  EXPECT_EQ(still_empty.count(), 0);
-  const HistogramSnapshot snap = still_empty.snapshot();
-  EXPECT_EQ(snap.count, 0);
-  EXPECT_TRUE(snap.bucket_counts.empty());
-  EXPECT_DOUBLE_EQ(snap.sum, 0.0);
 }
 
 TEST(LogHistogramTest, SnapshotTrimsToNonEmptyRange) {
@@ -192,10 +167,19 @@ TEST(LogHistogramTest, SnapshotTrimsToNonEmptyRange) {
   EXPECT_LE(snap.bucket_counts.size(), 64u);
   EXPECT_EQ(snap.bounds.size(), snap.bucket_counts.size());
   EXPECT_EQ(snap.representatives.size(), snap.bucket_counts.size());
-  EXPECT_TRUE(snap.samples.empty());
   std::int64_t total = 0;
   for (const auto c : snap.bucket_counts) total += c;
   EXPECT_EQ(total, 2);
+
+  // An empty histogram trims to nothing, with zeroed summaries rather than
+  // the +/-inf min/max sentinels.
+  const HistogramSnapshot empty = LogHistogram().snapshot();
+  EXPECT_EQ(empty.count, 0);
+  EXPECT_TRUE(empty.bucket_counts.empty());
+  EXPECT_DOUBLE_EQ(empty.sum, 0.0);
+  EXPECT_DOUBLE_EQ(empty.min, 0.0);
+  EXPECT_DOUBLE_EQ(empty.max, 0.0);
+  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
 }
 
 TEST(LogHistogramTest, SumMinMaxTracked) {
@@ -211,28 +195,22 @@ TEST(LogHistogramTest, SumMinMaxTracked) {
   EXPECT_DOUBLE_EQ(snap.mean(), 1.75);
 }
 
-TEST(LogHistogramTest, ResetClearsEverything) {
-  LogHistogram h;
-  for (int i = 0; i < 100; ++i) h.record(0.01 * (i + 1));
-  h.reset();
-  EXPECT_EQ(h.count(), 0);
-  const HistogramSnapshot snap = h.snapshot();
-  EXPECT_EQ(snap.count, 0);
-  EXPECT_TRUE(snap.bucket_counts.empty());
-  EXPECT_DOUBLE_EQ(snap.sum, 0.0);
-}
-
-TEST(LogHistogramTest, RegistryMergesBothHistogramKinds) {
+TEST(LogHistogramTest, RegistrySnapshotCarriesOneBoundPerBucket) {
+  // The JSON and Prometheus renderers index bounds by bucket, so every
+  // registry snapshot, overflow bucket included, has one bound per count.
   auto& reg = tx::obs::registry();
   reg.clear();
-  reg.histogram("fixed.kind").record(0.5);
-  reg.log_histogram("log.kind").record(0.5);
+  reg.log_histogram("one.kind").record(0.5);
+  reg.log_histogram("one.kind").record(4096.0);
   const auto hists = reg.histograms();
-  ASSERT_EQ(hists.count("fixed.kind"), 1u);
-  ASSERT_EQ(hists.count("log.kind"), 1u);
-  EXPECT_FALSE(hists.at("fixed.kind").samples.empty());
-  EXPECT_TRUE(hists.at("log.kind").samples.empty());
-  EXPECT_FALSE(hists.at("log.kind").representatives.empty());
+  ASSERT_EQ(hists.count("one.kind"), 1u);
+  const HistogramSnapshot& snap = hists.at("one.kind");
+  EXPECT_EQ(snap.count, 2);
+  ASSERT_FALSE(snap.bucket_counts.empty());
+  EXPECT_EQ(snap.bounds.size(), snap.bucket_counts.size());
+  EXPECT_EQ(snap.representatives.size(), snap.bucket_counts.size());
+  EXPECT_TRUE(std::isinf(snap.bounds.back()));
+  EXPECT_EQ(snap.bucket_counts.back(), 1);
   reg.clear();
 }
 

@@ -473,6 +473,92 @@ TEST(BenchFlagsTest, PathFlagsWinOverTheirEnvFallbacks) {
   unsetenv("TYXE_DIAG");
 }
 
+// --obs-http=SPEC: off/0/"" leave the server off, auto binds an ephemeral
+// port, 1-65535 is the literal port; anything else warns and leaves the
+// server off rather than aborting the run.
+TEST(BenchFlagsTest, ObsHttpPortSpecs) {
+  unsetenv("TYXE_OBS_HTTP");
+  struct Case {
+    const char* arg;
+    int port;
+    bool warns;
+  };
+  const Case cases[] = {
+      {"--obs-http", 0, false},
+      {"--obs-http=off", -1, false},
+      {"--obs-http=0", -1, false},
+      {"--obs-http=auto", 0, false},
+      {"--obs-http=8080", 8080, false},
+      {"--obs-http=65535", 65535, false},
+      {"--obs-http=65536", -1, true},
+      {"--obs-http=-1", -1, true},
+      {"--obs-http=12ab", -1, true},
+      {"--obs-http=", -1, false},
+  };
+  for (const Case& c : cases) {
+    std::vector<char*> argv{const_cast<char*>("bench"),
+                            const_cast<char*>(c.arg)};
+    int argc = 2;
+    testing::internal::CaptureStderr();
+    const obs::BenchFlags flags = obs::parse_bench_flags(argc, argv.data());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(flags.http_port, c.port) << c.arg;
+    EXPECT_EQ(err.find("bad port") != std::string::npos, c.warns)
+        << c.arg << ": " << err;
+    EXPECT_EQ(argc, 1) << c.arg;  // consumed either way
+  }
+}
+
+// TYXE_OBS_HTTP and TYXE_WATCHDOG fill in absent flags; a bad port in the
+// variable warns under its own name, and a given --obs-http wins, even when
+// it says off or is bad.
+TEST(BenchFlagsTest, ObsHttpAndWatchdogEnvFallbacks) {
+  const auto parse = [](std::vector<const char*> raw) {
+    std::vector<char*> argv;
+    for (const char* a : raw) argv.push_back(const_cast<char*>(a));
+    int argc = static_cast<int>(argv.size());
+    return obs::parse_bench_flags(argc, argv.data());
+  };
+  unsetenv("TYXE_OBS_HTTP");
+  unsetenv("TYXE_WATCHDOG");
+  obs::BenchFlags flags = parse({"bench"});
+  EXPECT_EQ(flags.http_port, -1);
+  EXPECT_FALSE(flags.watchdog);
+  EXPECT_TRUE(parse({"bench", "--watchdog"}).watchdog);
+
+  const struct {
+    const char* value;
+    int port;
+  } ports[] = {{"auto", 0}, {"9090", 9090}, {"off", -1}, {"0", -1}, {"", -1}};
+  for (const auto& p : ports) {
+    setenv("TYXE_OBS_HTTP", p.value, 1);
+    EXPECT_EQ(parse({"bench"}).http_port, p.port) << p.value;
+  }
+  setenv("TYXE_OBS_HTTP", "bogus", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(parse({"bench"}).http_port, -1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("TYXE_OBS_HTTP: bad port 'bogus'"), std::string::npos)
+      << err;
+  setenv("TYXE_OBS_HTTP", "9090", 1);
+  EXPECT_EQ(parse({"bench", "--obs-http=7070"}).http_port, 7070);
+  EXPECT_EQ(parse({"bench", "--obs-http=off"}).http_port, -1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(parse({"bench", "--obs-http=12ab"}).http_port, -1);
+  testing::internal::GetCapturedStderr();
+  unsetenv("TYXE_OBS_HTTP");
+
+  const struct {
+    const char* value;
+    bool on;
+  } watchdogs[] = {{"1", true}, {"yes", true}, {"0", false}, {"", false}};
+  for (const auto& w : watchdogs) {
+    setenv("TYXE_WATCHDOG", w.value, 1);
+    EXPECT_EQ(parse({"bench"}).watchdog, w.on) << w.value;
+  }
+  unsetenv("TYXE_WATCHDOG");
+}
+
 // ---- python round-trips --------------------------------------------------
 
 #ifdef TX_SOURCE_DIR
@@ -559,6 +645,43 @@ TEST_F(ProfTest, PythonRoundTripBenchDiff) {
   std::remove(base.c_str());
   std::remove(doctored.c_str());
   std::remove(noisy.c_str());
+}
+
+// validate_bench.py's histogram invariants: finite `le` strictly ascend,
+// "inf" only on the last bucket, non-negative integer counts, and
+// p50 <= p90 <= p99. A real snapshot passes; each doctored one fails.
+TEST_F(ProfTest, PythonValidatorChecksHistogramInvariants) {
+  if (!python3_available()) GTEST_SKIP() << "python3 not available";
+  obs::prof::set_enabled(false);
+  auto& h = obs::registry().log_histogram("unit.hist");
+  for (const double v : {0.001, 0.002, 0.5, 2048.0}) h.record(v);
+  const std::string base = temp_path("hist_invariants.json");
+  ASSERT_TRUE(obs::EventSink::write_snapshot(base, "hist_test"));
+  const auto validate = [](const std::string& path) {
+    const std::string cmd = "python3 " TX_SOURCE_DIR
+                            "/scripts/validate_bench.py " +
+                            path + " > /dev/null 2>&1";
+    return std::system(cmd.c_str());
+  };
+  EXPECT_EQ(validate(base), 0);
+
+  const std::string doctored = temp_path("hist_invariants_bad.json");
+  const char* edits[] = {
+      "b[0]['le'], b[1]['le'] = b[1]['le'], b[0]['le']",
+      "b[0]['le'] = 'inf'",
+      "b[1]['count'] = -1",
+      "h['p50'] = h['p90'] + 1",
+  };
+  for (const char* edit : edits) {
+    const std::string cmd =
+        "python3 -c \"import json; d=json.load(open('" + base +
+        "')); h=d['histograms']['unit.hist']; b=h['buckets']; " + edit +
+        "; json.dump(d, open('" + doctored + "','w'))\"";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << edit;
+    EXPECT_NE(validate(doctored), 0) << edit;
+  }
+  std::remove(base.c_str());
+  std::remove(doctored.c_str());
 }
 
 #endif  // TX_SOURCE_DIR
