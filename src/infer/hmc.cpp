@@ -1,6 +1,7 @@
 #include "infer/hmc.h"
 
 #include <cmath>
+#include <limits>
 
 #include "obs/obs.h"
 #include "resil/guard.h"
@@ -77,6 +78,10 @@ double Potential::value(const std::vector<double>& q) const {
 
 double Potential::value_and_grad(const std::vector<double>& q,
                                  std::vector<double>& grad) const {
+  // The gradient is the result, so record it whatever the caller's mode:
+  // under an outer NoGradGuard it would be zero, and the adapted step size
+  // would collapse while each trajectory kept its length.
+  GradModeScope record(true);
   alloc::StepScope arena_scope;
   std::map<std::string, Tensor> latents = unflatten(q);
   for (auto& [name, t] : latents) t.set_requires_grad(true);
@@ -198,6 +203,7 @@ HMC::HMC(double step_size, int num_steps, bool adapt_step_size,
          double target_accept, bool adapt_mass_matrix)
     : step_size_(step_size),
       num_steps_(num_steps),
+      trajectory_length_(step_size * num_steps),
       adapt_(adapt_step_size),
       target_accept_(target_accept),
       averager_(step_size, target_accept),
@@ -324,6 +330,15 @@ void HMC::leapfrog(std::vector<double>& q, std::vector<double>& p,
   }
 }
 
+int HMC::num_steps_at(double eps) const {
+  if (!adapt_) return num_steps_;
+  // Written so a NaN ratio takes one step and a huge one cannot overflow.
+  const double steps = std::floor(trajectory_length_ / eps);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  if (!(steps >= 1.0)) return 1;
+  return steps < kMax ? static_cast<int>(steps) : kMax;
+}
+
 std::vector<double> HMC::step(const std::vector<double>& q0, bool warmup) {
   Generator& g = gen_ ? *gen_ : global_generator();
   if (!warmup && adapt_ && !frozen_) {
@@ -339,7 +354,7 @@ std::vector<double> HMC::step(const std::vector<double>& q0, bool warmup) {
   const double u0 = potential_->value_and_grad(q, grad);
   const double h0 = u0 + kinetic(p);
 
-  leapfrog(q, p, grad, eps, num_steps_);
+  leapfrog(q, p, grad, eps, num_steps_at(eps));
   const double u1 = potential_->value(q);
   const double h1 = u1 + kinetic(p);
 

@@ -30,7 +30,7 @@ class Potential {
 
   /// U(q) = -log p(q, observations).
   double value(const std::vector<double>& q) const;
-  /// U(q) and dU/dq.
+  /// U(q) and dU/dq; the gradient is recorded even under a NoGradGuard.
   double value_and_grad(const std::vector<double>& q,
                         std::vector<double>& grad) const;
 
@@ -112,11 +112,13 @@ class DualAveraging {
 
 class HMC : public MCMCKernel {
  public:
-  /// num_steps leapfrog steps of size step_size; step size adapts during
-  /// warmup when adapt_step_size is true (trajectory length is preserved by
-  /// keeping num_steps fixed). With adapt_mass_matrix the diagonal mass is
-  /// estimated from the first part of warmup (Stan-style regularized
-  /// variances), which reconditions poorly scaled posteriors.
+  /// num_steps leapfrog steps of size step_size. With adapt_step_size the
+  /// step size adapts during warmup and the trajectory length
+  /// step_size * num_steps is preserved: a transition at step size eps takes
+  /// max(1, floor(length / eps)) leapfrogs, as in Pyro. Without adaptation
+  /// every transition takes exactly num_steps. With adapt_mass_matrix the
+  /// diagonal mass is estimated from the first part of warmup (Stan-style
+  /// regularized variances), which reconditions poorly scaled posteriors.
   HMC(double step_size, int num_steps, bool adapt_step_size = true,
       double target_accept = 0.8, bool adapt_mass_matrix = false);
 
@@ -145,8 +147,12 @@ class HMC : public MCMCKernel {
   /// Warmup-phase bookkeeping for the mass estimate.
   void accumulate_mass_sample(const std::vector<double>& q);
 
+  /// Leapfrogs for one transition at step size eps.
+  int num_steps_at(double eps) const;
+
   double step_size_;
   int num_steps_;
+  double trajectory_length_;
   bool adapt_;
   double target_accept_;
   DualAveraging averager_;

@@ -1,6 +1,7 @@
 #include "nn/init.h"
 
 #include <cmath>
+#include <vector>
 
 namespace tx::nn::init {
 
@@ -35,8 +36,11 @@ float init_std(const std::string& method, const Shape& weight_shape) {
 
 void normal_(Tensor& t, float mean, float std, Generator* gen) {
   Generator& g = gen ? *gen : global_generator();
+  std::vector<float> z(static_cast<std::size_t>(t.numel()));
+  g.normal_fill(z.data(), z.size());
   for (std::int64_t i = 0; i < t.numel(); ++i) {
-    t.at(i) = static_cast<float>(g.normal(mean, std));
+    const double v = static_cast<double>(z[static_cast<std::size_t>(i)]);
+    t.at(i) = static_cast<float>(v * std + mean);
   }
 }
 

@@ -59,27 +59,15 @@ HistogramSnapshot LogHistogram::snapshot() const {
     snap.min = detail::unpack_double(min_bits_.load(std::memory_order_relaxed));
     snap.max = detail::unpack_double(max_bits_.load(std::memory_order_relaxed));
   }
-  // Trim to [first, last] non-empty bucket; a full dense dump would be
-  // kBuckets entries of mostly zeros in every snapshot.
-  int first = -1, last = -1;
-  std::array<std::int64_t, kBuckets> counts;
+  // Only the non-empty buckets: the layout is fixed, so each upper edge
+  // names its bucket, and a dense dump would be mostly zeros.
   for (int i = 0; i < kBuckets; ++i) {
-    counts[static_cast<std::size_t>(i)] =
+    const std::int64_t c =
         buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    if (counts[static_cast<std::size_t>(i)] != 0) {
-      if (first < 0) first = i;
-      last = i;
-    }
-  }
-  if (first >= 0) {
-    snap.bounds.reserve(static_cast<std::size_t>(last - first + 1));
-    snap.bucket_counts.reserve(static_cast<std::size_t>(last - first + 1));
-    snap.representatives.reserve(static_cast<std::size_t>(last - first + 1));
-    for (int i = first; i <= last; ++i) {
-      snap.bounds.push_back(upper_edge_of(i));
-      snap.bucket_counts.push_back(counts[static_cast<std::size_t>(i)]);
-      snap.representatives.push_back(representative_of(i));
-    }
+    if (c == 0) continue;
+    snap.bounds.push_back(upper_edge_of(i));
+    snap.bucket_counts.push_back(c);
+    snap.representatives.push_back(representative_of(i));
   }
   return snap;
 }

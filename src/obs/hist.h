@@ -54,8 +54,8 @@ class LogHistogram {
 
   std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
 
-  /// Point-in-time view: bounds are the upper edges of the trimmed
-  /// non-empty bucket range, representatives their midpoints.
+  /// Point-in-time view: bounds are the upper edges of the non-empty
+  /// buckets, representatives their midpoints.
   HistogramSnapshot snapshot() const;
 
   // ---- the pure value <-> bucket mapping (unit-tested directly) ----------

@@ -78,8 +78,9 @@ class Gauge {
 };
 
 /// Point-in-time view of a LogHistogram (obs/hist.h), safe to keep after the
-/// fact. bounds/bucket_counts/representatives are trimmed to the non-empty
-/// bucket range and have equal length; the overflow bucket's bound is +inf.
+/// fact. bounds/bucket_counts/representatives hold the non-empty buckets
+/// only, in ascending order, and have equal length; the overflow bucket's
+/// bound is +inf.
 struct HistogramSnapshot {
   std::int64_t count = 0;
   double sum = 0.0;

@@ -7,6 +7,7 @@
 #include "tensor/simd.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <string>
 
 #include "obs/manifest.h"
+#include "tensor/simd_poly.h"
 
 namespace tx::simd {
 
@@ -43,6 +45,7 @@ void gemm_acc(const float* a, std::int64_t a_rs, std::int64_t a_cs,
               std::int64_t n);
 void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n);
+void box_muller_n(const std::uint64_t* w, float* o, std::int64_t n);
 }  // namespace avx2
 #endif
 
@@ -180,6 +183,28 @@ void scalar_gemm_bt_acc(const float* a, const float* b, float* c,
     for (std::int64_t j = 0; j < n; ++j) {
       c[i * n + j] = c[i * n + j] + scalar_dot8(a + i * k, b + j * k, k);
     }
+  }
+}
+
+// ---- Gaussian draws ----
+//
+// The operation order below is the specification: simd_avx2.cpp performs
+// the same operations lane for lane, and the selects are written as the
+// vector blends and min compute them.
+
+void scalar_box_muller_n(const std::uint64_t* w, float* o, std::int64_t n) {
+  for (std::int64_t j = 0; j < n; j += 2) {
+    const std::uint64_t word = w[j / 2];
+    const auto a = static_cast<std::uint32_t>(word >> 40);
+    const std::uint32_t b = static_cast<std::uint32_t>(word) >> 8;
+    const float v =
+        static_cast<float>(static_cast<std::int32_t>(2 * a + 1)) * 0x1p-25f;
+    const float u1 = (v < poly::kBelowOne) ? v : poly::kBelowOne;
+    const float r = std::sqrt(log_poly(u1) * -2.0f);
+    float s = 0.0f, c = 0.0f;
+    sincos_turn24(b, &s, &c);
+    o[j] = r * c;
+    if (j + 1 < n) o[j + 1] = r * s;
   }
 }
 
@@ -367,6 +392,63 @@ void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
   TX_SIMD_DISPATCH(gemm_bt_acc, a, b, c, m, k, n);
 }
 
+void box_muller_n(const std::uint64_t* w, float* o, std::int64_t n) {
+  // One word (normal()) costs less in scalar code than in a padded vector;
+  // the bits are the same either way.
+  if (n <= 2) return scalar_box_muller_n(w, o, n);
+  TX_SIMD_DISPATCH(box_muller_n, w, o, n);
+}
+
 #undef TX_SIMD_DISPATCH
+
+float log_poly(float x) {
+  const auto bits = std::bit_cast<std::uint32_t>(x);
+  // x = m * 2^(e + 1) with m in [1/2, 1); below sqrt(1/2), m moves up an
+  // octave so f = m - 1 lies in [sqrt(1/2) - 1, sqrt(2) - 1). Both forms of
+  // f are exact.
+  const float m = std::bit_cast<float>((bits & 0x007fffffu) | 0x3f000000u);
+  const float e =
+      static_cast<float>(static_cast<std::int32_t>(bits >> 23) - 126);
+  const bool low = m < poly::kSqrtHalf;
+  const float ef = e - (low ? 1.0f : 0.0f);
+  const float f = (m - 1.0f) + (low ? m : 0.0f);
+  const float z = f * f;
+  float y = poly::kLogP[0];
+  for (int i = 1; i < 9; ++i) y = y * f + poly::kLogP[i];
+  y = (y * f) * z;
+  y = y + ef * poly::kLn2Lo;
+  y = y - 0.5f * z;
+  const float l = f + y;
+  return l + ef * poly::kLn2Hi;
+}
+
+void sincos_turn24(std::uint32_t b, float* s, float* c) {
+  // b / 2^22 quarter turns: q the nearest whole one (0..4), i the rest in
+  // 2^-22 steps, in [-2^21, 2^21), so x is in [-pi/4, pi/4).
+  const std::uint32_t q = (b + 0x200000u) >> 22;
+  const auto i = static_cast<std::int32_t>(b - (q << 22));
+  const float x = static_cast<float>(i) * poly::kQuarterStep;
+  const float z = x * x;
+  float ps = poly::kSinP[0];
+  ps = ps * z + poly::kSinP[1];
+  ps = ps * z + poly::kSinP[2];
+  ps = (ps * z) * x;
+  ps = ps + x;
+  float pc = poly::kCosP[0];
+  pc = pc * z + poly::kCosP[1];
+  pc = pc * z + poly::kCosP[2];
+  pc = (pc * z) * z;
+  pc = pc - 0.5f * z;
+  pc = pc + 1.0f;
+  // Rotate by q quarter turns: an odd q swaps sin and cos; cos is negated
+  // for q mod 4 in {1, 2}, sin for q mod 4 in {2, 3}.
+  const bool swap = (q & 1u) != 0;
+  const std::uint32_t s_sign = (q & 2u) << 30;
+  const std::uint32_t c_sign = ((q + 1u) & 2u) << 30;
+  *s = std::bit_cast<float>(std::bit_cast<std::uint32_t>(swap ? pc : ps) ^
+                            s_sign);
+  *c = std::bit_cast<float>(std::bit_cast<std::uint32_t>(swap ? ps : pc) ^
+                            c_sign);
+}
 
 }  // namespace tx::simd

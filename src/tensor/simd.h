@@ -91,4 +91,23 @@ void gemm_acc(const float* a, std::int64_t a_rs, std::int64_t a_cs,
 void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n);
 
+// --- Gaussian draws (block Box-Muller) ---
+// o[0..n) = standard normals from engine words w[0..ceil(n/2)). Word k
+// gives two 24-bit uniforms: u1 = (2a + 1) * 2^-25 from its top 24 bits a,
+// rounded to float and kept below 1, so u1 is in [2^-25, 1 - 2^-24]; and
+// u2 = b * 2^-24 from its bits 8-31 b, in [0, 1). With
+// r = sqrt(-2 log u1), o[2k] = r cos(2 pi u2) and o[2k + 1] = r sin(2 pi u2);
+// for odd n the sin half of the last word is not written. log, sin and cos
+// are the float polynomials below, evaluated in one fixed operation order
+// at every level, so every level returns the same bits.
+void box_muller_n(const std::uint64_t* w, float* o, std::int64_t n);
+
+// The canonical float polynomials behind box_muller_n (scalar), exposed so
+// tests can bound their error against libm.
+// Natural log of a positive normal float (Cephes logf).
+float log_poly(float x);
+// sin and cos of 2 pi b / 2^24 for a 24-bit b: the nearest quarter turn
+// exactly in integers, then polynomials on the rest, in [-pi/4, pi/4].
+void sincos_turn24(std::uint32_t b, float* s, float* c);
+
 }  // namespace tx::simd

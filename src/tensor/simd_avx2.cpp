@@ -13,6 +13,9 @@
 #include <immintrin.h>
 
 #include <cstdint>
+#include <cstring>
+
+#include "tensor/simd_poly.h"
 
 namespace tx::simd::avx2 {
 
@@ -370,6 +373,115 @@ void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
       _mm_storeu_ps(crow + j, _mm_add_ps(_mm_loadu_ps(crow + j), total));
     }
     for (; j < n; ++j) crow[j] = crow[j] + dot8(arow, b + j * k, k);
+  }
+}
+
+namespace {
+
+// log_poly of eight lanes, operation for operation.
+inline __m256 log8(__m256 x) {
+  const __m256i bits = _mm256_castps_si256(x);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 m = _mm256_castsi256_ps(
+      _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi32(0x007fffff)),
+                      _mm256_set1_epi32(0x3f000000)));
+  const __m256 e = _mm256_cvtepi32_ps(
+      _mm256_sub_epi32(_mm256_srli_epi32(bits, 23), _mm256_set1_epi32(126)));
+  const __m256 low =
+      _mm256_cmp_ps(m, _mm256_set1_ps(poly::kSqrtHalf), _CMP_LT_OQ);
+  const __m256 ef = _mm256_sub_ps(e, _mm256_and_ps(low, one));
+  const __m256 f =
+      _mm256_add_ps(_mm256_sub_ps(m, one), _mm256_and_ps(low, m));
+  const __m256 z = _mm256_mul_ps(f, f);
+  __m256 y = _mm256_set1_ps(poly::kLogP[0]);
+  for (int i = 1; i < 9; ++i) {
+    y = _mm256_add_ps(_mm256_mul_ps(y, f), _mm256_set1_ps(poly::kLogP[i]));
+  }
+  y = _mm256_mul_ps(_mm256_mul_ps(y, f), z);
+  y = _mm256_add_ps(y, _mm256_mul_ps(ef, _mm256_set1_ps(poly::kLn2Lo)));
+  y = _mm256_sub_ps(y, _mm256_mul_ps(_mm256_set1_ps(0.5f), z));
+  const __m256 l = _mm256_add_ps(f, y);
+  return _mm256_add_ps(l, _mm256_mul_ps(ef, _mm256_set1_ps(poly::kLn2Hi)));
+}
+
+// sincos_turn24 of eight lanes, operation for operation.
+inline void sincos8(__m256i b, __m256* s, __m256* c) {
+  const __m256i q =
+      _mm256_srli_epi32(_mm256_add_epi32(b, _mm256_set1_epi32(0x200000)), 22);
+  const __m256i i = _mm256_sub_epi32(b, _mm256_slli_epi32(q, 22));
+  const __m256 x =
+      _mm256_mul_ps(_mm256_cvtepi32_ps(i), _mm256_set1_ps(poly::kQuarterStep));
+  const __m256 z = _mm256_mul_ps(x, x);
+  __m256 ps = _mm256_set1_ps(poly::kSinP[0]);
+  ps = _mm256_add_ps(_mm256_mul_ps(ps, z), _mm256_set1_ps(poly::kSinP[1]));
+  ps = _mm256_add_ps(_mm256_mul_ps(ps, z), _mm256_set1_ps(poly::kSinP[2]));
+  ps = _mm256_mul_ps(_mm256_mul_ps(ps, z), x);
+  ps = _mm256_add_ps(ps, x);
+  __m256 pc = _mm256_set1_ps(poly::kCosP[0]);
+  pc = _mm256_add_ps(_mm256_mul_ps(pc, z), _mm256_set1_ps(poly::kCosP[1]));
+  pc = _mm256_add_ps(_mm256_mul_ps(pc, z), _mm256_set1_ps(poly::kCosP[2]));
+  pc = _mm256_mul_ps(_mm256_mul_ps(pc, z), z);
+  pc = _mm256_sub_ps(pc, _mm256_mul_ps(_mm256_set1_ps(0.5f), z));
+  pc = _mm256_add_ps(pc, _mm256_set1_ps(1.0f));
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i two = _mm256_set1_epi32(2);
+  const __m256 swap = _mm256_castsi256_ps(
+      _mm256_cmpeq_epi32(_mm256_and_si256(q, one), one));
+  const __m256 s_sign =
+      _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_and_si256(q, two), 30));
+  const __m256 c_sign = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_and_si256(_mm256_add_epi32(q, one), two), 30));
+  *s = _mm256_xor_ps(_mm256_blendv_ps(ps, pc, swap), s_sign);
+  *c = _mm256_xor_ps(_mm256_blendv_ps(pc, ps, swap), c_sign);
+}
+
+// Sixteen draws from eight words.
+inline void box_muller16(const std::uint64_t* w, float* o) {
+  const __m256 w0 = _mm256_castsi256_ps(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
+  const __m256 w1 = _mm256_castsi256_ps(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4)));
+  // 32-bit lanes of a word pair are (low half, high half). Gather the eight
+  // high halves and the eight low halves in word order.
+  const __m256i hi = _mm256_permute4x64_epi64(
+      _mm256_castps_si256(_mm256_shuffle_ps(w0, w1, _MM_SHUFFLE(3, 1, 3, 1))),
+      _MM_SHUFFLE(3, 1, 2, 0));
+  const __m256i lo = _mm256_permute4x64_epi64(
+      _mm256_castps_si256(_mm256_shuffle_ps(w0, w1, _MM_SHUFFLE(2, 0, 2, 0))),
+      _MM_SHUFFLE(3, 1, 2, 0));
+  const __m256i a = _mm256_srli_epi32(hi, 8);
+  const __m256i b = _mm256_srli_epi32(lo, 8);
+  const __m256 v = _mm256_mul_ps(
+      _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_slli_epi32(a, 1),
+                                          _mm256_set1_epi32(1))),
+      _mm256_set1_ps(0x1p-25f));
+  const __m256 u1 = _mm256_min_ps(v, _mm256_set1_ps(poly::kBelowOne));
+  const __m256 r =
+      _mm256_sqrt_ps(_mm256_mul_ps(log8(u1), _mm256_set1_ps(-2.0f)));
+  __m256 s = _mm256_setzero_ps(), c = s;
+  sincos8(b, &s, &c);
+  const __m256 zc = _mm256_mul_ps(r, c);
+  const __m256 zs = _mm256_mul_ps(r, s);
+  // Interleave to c0 s0 c1 s1 ...: unpack works within 128-bit halves.
+  const __m256 ab = _mm256_unpacklo_ps(zc, zs);  // words 0 1 | 4 5
+  const __m256 cd = _mm256_unpackhi_ps(zc, zs);  // words 2 3 | 6 7
+  _mm256_storeu_ps(o, _mm256_permute2f128_ps(ab, cd, 0x20));
+  _mm256_storeu_ps(o + 8, _mm256_permute2f128_ps(ab, cd, 0x31));
+}
+
+}  // namespace
+
+void box_muller_n(const std::uint64_t* w, float* o, std::int64_t n) {
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16) box_muller16(w + j / 2, o + j);
+  if (j < n) {
+    // The tail runs the same lanes on zero-padded words.
+    const auto rest = static_cast<std::size_t>(n - j);
+    std::uint64_t tw[8] = {};
+    float to[16];
+    std::memcpy(tw, w + j / 2, (rest + 1) / 2 * sizeof(std::uint64_t));
+    box_muller16(tw, to);
+    std::memcpy(o + j, to, rest * sizeof(float));
   }
 }
 

@@ -13,10 +13,10 @@ namespace tx {
 
 /// MT19937-64 with the same outputs, seeding and text state format as
 /// std::mt19937_64, so every stream and saved state matches the standard
-/// engine word for word. It is its own class so Generator can read a run of
-/// state words at once (normal_fill) instead of paying one opaque call and
-/// one twist check per word. Satisfies UniformRandomBitGenerator, so the
-/// standard distributions and std::shuffle take it directly.
+/// engine word for word. It is its own class so a run of outputs can be
+/// read at once (generate, behind normal_fill) instead of paying one opaque
+/// call and one twist check per word. Satisfies UniformRandomBitGenerator,
+/// so the standard distributions and std::shuffle take it directly.
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -34,6 +34,10 @@ class Mt19937_64 {
     return temper(x_[p_++]);
   }
 
+  /// out[0, n) = the next n outputs, as n calls of operator() return them,
+  /// tempered a run of state words at a time.
+  void generate(result_type* out, std::size_t n);
+
   /// The standard's text format for mt19937_64: the 312 state words, then
   /// the position, separated by spaces.
   friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
@@ -42,8 +46,6 @@ class Mt19937_64 {
   friend std::istream& operator>>(std::istream& is, Mt19937_64& e);
 
  private:
-  friend class Generator;
-
   static result_type temper(result_type z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
@@ -77,17 +79,22 @@ class Generator {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Fills out[0, n) with standard normals: the values, and the engine
-  /// words consumed, of n successive draws of a fresh
-  /// std::normal_distribution<double> (cast to float for the float
-  /// overload), computed a block of engine words at a time.
+  /// Fills out[0, n) with standard normals by the Box-Muller transform:
+  /// engine word k gives draws 2k (r cos) and 2k + 1 (r sin), so a fill
+  /// consumes exactly ceil(n / 2) words and a fill of n is the prefix of a
+  /// fill of any m > n from the same state. For odd n the sin half of the
+  /// last word is dropped, so the engine stays the whole state. The values
+  /// are floats (tx::simd::box_muller_n, the same bits at every SIMD
+  /// level); the double overload widens them.
+  /// The normal members are defined in src/tensor/random_normal.cpp, since
+  /// the transform is a tx::simd kernel: calling them needs tx_tensor.
   void normal_fill(double* out, std::size_t n);
   void normal_fill(float* out, std::size_t n);
 
-  /// Standard normal: the one-element normal_fill.
+  /// Standard normal: the one-element normal_fill (one engine word).
   double normal();
 
-  /// N(mean, stddev^2): std::normal_distribution<double>(mean, stddev).
+  /// N(mean, stddev^2): normal() * stddev + mean, in double.
   double normal(double mean, double stddev);
 
   /// Integer in [lo, hi] inclusive.
@@ -107,17 +114,14 @@ class Generator {
   Mt19937_64& engine() { return engine_; }
 
   /// Exact engine-state serialization in the standard's mt19937_64 text
-  /// format. No draw keeps state outside the engine (each primitive acts
-  /// like a freshly constructed std distribution), so save/load round-trips
-  /// reproduce the stream bit-for-bit, which is what makes checkpoint
-  /// resume exact.
+  /// format. No draw keeps state outside the engine (each std primitive
+  /// acts like a freshly constructed std distribution, and normal_fill
+  /// keeps no spare draw), so save/load round-trips reproduce the stream
+  /// bit-for-bit, which is what makes checkpoint resume exact.
   void save(std::ostream& os) const { os << engine_; }
   void load(std::istream& is) { is >> engine_; }
 
  private:
-  template <typename T>
-  void polar_fill(T* out, std::size_t n, double mean, double stddev);
-
   Mt19937_64 engine_;
 };
 

@@ -160,16 +160,23 @@ TEST(LogHistogramTest, SnapshotTrimsToNonEmptyRange) {
   LogHistogram h;
   h.record(0.001);
   h.record(0.002);
+  h.record(0.002);
+  h.record(1000.0);
   const HistogramSnapshot snap = h.snapshot();
-  EXPECT_EQ(snap.count, 2);
-  // Two values an octave apart: a handful of buckets, not kBuckets.
-  EXPECT_GE(snap.bucket_counts.size(), 2u);
-  EXPECT_LE(snap.bucket_counts.size(), 64u);
-  EXPECT_EQ(snap.bounds.size(), snap.bucket_counts.size());
-  EXPECT_EQ(snap.representatives.size(), snap.bucket_counts.size());
-  std::int64_t total = 0;
-  for (const auto c : snap.bucket_counts) total += c;
-  EXPECT_EQ(total, 2);
+  EXPECT_EQ(snap.count, 4);
+  // Three occupied buckets, far apart: only those three are listed, none of
+  // the empty ones between them.
+  const int b1 = LogHistogram::index_of(0.001);
+  const int b2 = LogHistogram::index_of(0.002);
+  const int b3 = LogHistogram::index_of(1000.0);
+  ASSERT_EQ(snap.bucket_counts, (std::vector<std::int64_t>{1, 2, 1}));
+  EXPECT_EQ(snap.bounds, (std::vector<double>{LogHistogram::upper_edge_of(b1),
+                                              LogHistogram::upper_edge_of(b2),
+                                              LogHistogram::upper_edge_of(b3)}));
+  EXPECT_EQ(snap.representatives,
+            (std::vector<double>{LogHistogram::representative_of(b1),
+                                 LogHistogram::representative_of(b2),
+                                 LogHistogram::representative_of(b3)}));
 
   // An empty histogram trims to nothing, with zeroed summaries rather than
   // the +/-inf min/max sentinels.

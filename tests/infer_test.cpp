@@ -332,21 +332,87 @@ TEST(AutoLowRank, RecoverCorrelatedPosterior) {
 }
 
 TEST(HMC, SamplesStandardNormal) {
-  manual_seed(110);
-  Generator gen(110);
-  Program model = [] { ppl::sample("z", std::make_shared<Normal>(0.0f, 1.0f)); };
-  auto kernel = std::make_shared<HMC>(0.2, 10);
-  MCMC mcmc(kernel, /*num_samples=*/600, /*warmup=*/200);
-  mcmc.run(model, &gen);
-  auto chain = mcmc.coordinate_chain(0);
-  double m = 0, v = 0;
-  for (double x : chain) m += x;
-  m /= static_cast<double>(chain.size());
-  for (double x : chain) v += (x - m) * (x - m);
-  v /= static_cast<double>(chain.size());
-  EXPECT_NEAR(m, 0.0, 0.15);
-  EXPECT_NEAR(v, 1.0, 0.25);
-  EXPECT_GT(mcmc.mean_accept_prob(), 0.5);
+  // Warmup adapts the step size to about 1.2 here. Were the ten leapfrogs
+  // kept instead of the trajectory length, each trajectory would run about
+  // two oscillator periods and end near its start. Every seed of the sweep
+  // must pass.
+  for (std::uint64_t seed = 100; seed < 140; ++seed) {
+    manual_seed(seed);
+    Generator gen(seed);
+    Program model = [] {
+      ppl::sample("z", std::make_shared<Normal>(0.0f, 1.0f));
+    };
+    auto kernel = std::make_shared<HMC>(0.2, 10);
+    MCMC mcmc(kernel, /*num_samples=*/600, /*warmup=*/200);
+    mcmc.run(model, &gen);
+    auto chain = mcmc.coordinate_chain(0);
+    double m = 0, v = 0;
+    for (double x : chain) m += x;
+    m /= static_cast<double>(chain.size());
+    for (double x : chain) v += (x - m) * (x - m);
+    v /= static_cast<double>(chain.size());
+    EXPECT_NEAR(m, 0.0, 0.15) << "seed " << seed;
+    EXPECT_NEAR(v, 1.0, 0.25) << "seed " << seed;
+    EXPECT_GT(mcmc.mean_accept_prob(), 0.5) << "seed " << seed;
+  }
+}
+
+// Model runs of one transition: the start gradient, one per leapfrog, and
+// the end potential.
+int model_runs_per_transition(HMC& kernel, bool warmup, int& runs) {
+  const std::vector<double> q = kernel.initial_position();
+  runs = 0;
+  kernel.step(q, warmup);
+  return runs - 2;
+}
+
+TEST(HMC, PotentialGradientIgnoresNoGradGuard) {
+  // U(q) = |q|^2 / 2 + const for a standard normal, so dU/dq = q.
+  Potential potential([] {
+    ppl::sample("z", std::make_shared<Normal>(zeros({3}), ones({3})));
+  });
+  const std::vector<double> q = {0.5, -1.0, 2.0};
+  std::vector<double> grad;
+  NoGradGuard no_grad;
+  potential.value_and_grad(q, grad);
+  ASSERT_EQ(grad.size(), q.size());
+  for (std::size_t i = 0; i < q.size(); ++i) EXPECT_NEAR(grad[i], q[i], 1e-5);
+  EXPECT_FALSE(grad_enabled());
+}
+
+TEST(HMC, FixedStepSizeTakesExactlyNumSteps) {
+  // 0.01 * 29 / 0.01 is 28.999999999999996 in doubles; a kernel that does
+  // not adapt must still take all 29 leapfrogs.
+  Generator gen(3);
+  int runs = 0;
+  HMC kernel(0.01, 29, /*adapt_step_size=*/false);
+  kernel.setup(
+      [&runs] {
+        ++runs;
+        ppl::sample("z", std::make_shared<Normal>(0.0f, 1.0f));
+      },
+      &gen);
+  EXPECT_EQ(model_runs_per_transition(kernel, true, runs), 29);
+  EXPECT_EQ(model_runs_per_transition(kernel, false, runs), 29);
+}
+
+TEST(HMC, AdaptedStepSizeKeepsTrajectoryLength) {
+  Generator gen(4);
+  int runs = 0;
+  HMC kernel(0.2, 10);
+  kernel.setup(
+      [&runs] {
+        ++runs;
+        ppl::sample("z", std::make_shared<Normal>(0.0f, 1.0f));
+      },
+      &gen);
+  std::vector<double> q = kernel.initial_position();
+  for (int i = 0; i < 100; ++i) q = kernel.step(q, /*warmup=*/true);
+  const int steps = model_runs_per_transition(kernel, false, runs);
+  const double eps = kernel.step_size();  // frozen by the first kept draw
+  EXPECT_GT(eps, 0.5);
+  EXPECT_EQ(steps, static_cast<int>(std::floor(0.2 * 10 / eps)));
+  EXPECT_EQ(model_runs_per_transition(kernel, false, runs), steps);
 }
 
 TEST(HMC, EnergyConservationAtSmallStep) {
