@@ -6,25 +6,12 @@
 #include "dist/kl.h"
 #include "obs/pq.h"
 #include "obs/registry.h"
-#include "obs/timer.h"
+#include "obs/watchdog.h"
 #include "resil/guard.h"
 
 namespace tyxe {
 
 namespace {
-
-/// Posterior-predictive liveness: a predict-only workload (e.g. a serving
-/// loop) must keep /healthz fresh the same way SVI steps and MCMC
-/// transitions do.
-void touch_predict_heartbeat() {
-  if (!tx::obs::enabled()) return;
-  tx::obs::registry()
-      .gauge("obs.heartbeat_seconds")
-      .set(tx::obs::now_seconds());
-  if (tx::guard::watchdog_interested()) {
-    tx::guard::note_liveness(tx::obs::current_span_path());
-  }
-}
 
 /// Draw up to `num_predictions` posterior samples via `draw_fn`, degrading
 /// gracefully when the installed guard budget expires: the loop stops at the
@@ -87,7 +74,9 @@ void tag_degraded_pq_batch() {
 Tensor finish_predict(const std::vector<Tensor>& draws, Likelihood& likelihood,
                       bool aggregate) {
   Tensor stacked = tx::stack(draws, 0);
-  touch_predict_heartbeat();
+  // A predict-only workload (a serving loop) must keep /healthz fresh the
+  // same way SVI steps and MCMC transitions do.
+  if (tx::obs::enabled()) tx::obs::heartbeat();
   if (!aggregate) return stacked;
   Tensor aggregated = likelihood.aggregate_predictions(stacked);
   if (tx::obs::pq::enabled()) {

@@ -112,7 +112,7 @@ std::vector<double> instrumented_step(MCMCKernel& kernel,
       // Log-bucketed so per-chain timings merge exactly (obs/hist.h); the
       // heartbeat feeds the live server's /healthz staleness check.
       reg.log_histogram("mcmc.step_seconds").record(p.seconds);
-      reg.gauge("obs.heartbeat_seconds").set(obs::now_seconds());
+      obs::heartbeat();
     }
     if (progress) progress(p);
   };

@@ -138,12 +138,7 @@ SVI::StepResult SVI::run_step(bool force_grad_norm) {
       // Log-bucketed so per-worker step timings merge exactly (obs/hist.h);
       // the heartbeat feeds the live server's /healthz staleness check.
       reg.log_histogram("svi.step_seconds").record(info.seconds);
-      reg.gauge("obs.heartbeat_seconds").set(obs::now_seconds());
-      if (guard::watchdog_interested()) {
-        // Record where liveness was last confirmed so a later stall can be
-        // blamed on the span that stopped pulsing.
-        guard::note_liveness(obs::current_span_path());
-      }
+      obs::heartbeat();
     }
     if (callback_) callback_(info);
   }

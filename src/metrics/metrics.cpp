@@ -9,140 +9,104 @@ namespace tx::metrics {
 
 namespace {
 
-void check_probs(const Tensor& probs, const Tensor& labels) {
+/// Rows 0..N-1 of a labelled table folded into one pq accumulator.
+obs::pq::StreamStats fold_labeled(const Tensor& probs, const Tensor& labels,
+                                  int num_bins) {
   TX_CHECK(probs.rank() == 2, "metrics: probs must be (N, classes)");
   TX_CHECK(labels.rank() == 1 && labels.dim(0) == probs.dim(0),
            "metrics: labels must be (N,) matching probs");
+  TX_CHECK(probs.dim(0) > 0, "metrics: empty probability table");
+  TX_CHECK(num_bins >= 1, "metrics: num_bins must be >= 1");
+  obs::pq::StreamStats s = obs::pq::empty_stream({num_bins});
+  for (std::int64_t i = 0; i < probs.dim(0); ++i) {
+    const RowOutcome o = row_outcome(probs, labels, i);
+    obs::pq::add_outcome(s, o.confidence, o.correct, o.p_true, o.brier);
+  }
+  return s;
 }
 
 }  // namespace
 
+RowMax row_max(const Tensor& probs, std::int64_t i) {
+  const std::int64_t classes = probs.dim(-1);
+  RowMax m;
+  for (std::int64_t c = 0; c < classes; ++c) {
+    const float p = probs.at(i * classes + c);
+    if (p > m.confidence) {
+      m.confidence = p;
+      m.pick = c;
+    }
+  }
+  return m;
+}
+
+double row_entropy(const Tensor& probs, std::int64_t i) {
+  const std::int64_t classes = probs.dim(-1);
+  double h = 0.0;
+  for (std::int64_t c = 0; c < classes; ++c) {
+    const double p = probs.at(i * classes + c);
+    if (p > 1e-12) h -= p * std::log(p);
+  }
+  return h;
+}
+
+RowOutcome row_outcome(const Tensor& probs, const Tensor& labels,
+                       std::int64_t i) {
+  const std::int64_t classes = probs.dim(-1);
+  const auto label = static_cast<std::int64_t>(std::llround(labels.at(i)));
+  TX_CHECK(label >= 0 && label < classes, "metrics: label ", label,
+           " out of range for ", classes, " classes");
+  const RowMax m = row_max(probs, i);
+  RowOutcome o;
+  o.confidence = m.confidence;
+  o.correct = m.pick == label;
+  o.p_true = probs.at(i * classes + label);
+  for (std::int64_t k = 0; k < classes; ++k) {
+    const double d = probs.at(i * classes + k) - (k == label ? 1.0 : 0.0);
+    o.brier += d * d;
+  }
+  return o;
+}
+
 std::vector<CalibrationBin> calibration_curve(const Tensor& probs,
                                               const Tensor& labels,
                                               int num_bins) {
-  check_probs(probs, labels);
-  TX_CHECK(num_bins >= 1, "calibration_curve: num_bins must be >= 1");
-  const std::int64_t n = probs.dim(0);
-  const std::int64_t classes = probs.dim(1);
-  std::vector<double> conf_sum(static_cast<std::size_t>(num_bins), 0.0);
-  std::vector<double> acc_sum(static_cast<std::size_t>(num_bins), 0.0);
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(num_bins), 0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    float best = -1.0f;
-    std::int64_t pick = 0;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      const float p = probs.at(i * classes + c);
-      if (p > best) {
-        best = p;
-        pick = c;
-      }
-    }
-    int bin = static_cast<int>(best * num_bins);
-    bin = std::clamp(bin, 0, num_bins - 1);
-    conf_sum[static_cast<std::size_t>(bin)] += best;
-    acc_sum[static_cast<std::size_t>(bin)] +=
-        pick == static_cast<std::int64_t>(std::llround(labels.at(i))) ? 1.0 : 0.0;
-    counts[static_cast<std::size_t>(bin)] += 1;
-  }
-  std::vector<CalibrationBin> bins(static_cast<std::size_t>(num_bins));
-  for (int b = 0; b < num_bins; ++b) {
-    const auto ub = static_cast<std::size_t>(b);
-    bins[ub].count = counts[ub];
-    if (counts[ub] > 0) {
-      bins[ub].confidence = conf_sum[ub] / static_cast<double>(counts[ub]);
-      bins[ub].accuracy = acc_sum[ub] / static_cast<double>(counts[ub]);
-    }
-  }
-  return bins;
+  return obs::pq::reliability(fold_labeled(probs, labels, num_bins));
 }
 
 double expected_calibration_error(const Tensor& probs, const Tensor& labels,
                                   int num_bins) {
-  const auto bins = calibration_curve(probs, labels, num_bins);
-  const auto n = static_cast<double>(probs.dim(0));
-  double ece = 0.0;
-  for (const auto& b : bins) {
-    if (b.count == 0) continue;
-    ece += (static_cast<double>(b.count) / n) *
-           std::fabs(b.accuracy - b.confidence);
-  }
-  return ece;
+  return obs::pq::ece(fold_labeled(probs, labels, num_bins));
 }
 
 double accuracy(const Tensor& probs, const Tensor& labels) {
-  check_probs(probs, labels);
-  const std::int64_t n = probs.dim(0), classes = probs.dim(1);
-  std::int64_t correct = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    float best = -1.0f;
-    std::int64_t pick = 0;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      if (probs.at(i * classes + c) > best) {
-        best = probs.at(i * classes + c);
-        pick = c;
-      }
-    }
-    if (pick == static_cast<std::int64_t>(std::llround(labels.at(i)))) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(n);
+  return obs::pq::accuracy(fold_labeled(probs, labels, 1));
 }
 
 double nll(const Tensor& probs, const Tensor& labels) {
-  check_probs(probs, labels);
-  const std::int64_t n = probs.dim(0), classes = probs.dim(1);
-  double total = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto c = static_cast<std::int64_t>(std::llround(labels.at(i)));
-    TX_CHECK(c >= 0 && c < classes, "nll: label out of range");
-    total -= std::log(std::max(probs.at(i * classes + c), 1e-12f));
-  }
-  return total / static_cast<double>(n);
+  return obs::pq::nll(fold_labeled(probs, labels, 1));
 }
 
 double brier_score(const Tensor& probs, const Tensor& labels) {
-  check_probs(probs, labels);
-  const std::int64_t n = probs.dim(0), classes = probs.dim(1);
-  double total = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto c = static_cast<std::int64_t>(std::llround(labels.at(i)));
-    TX_CHECK(c >= 0 && c < classes, "brier_score: label out of range");
-    double b = 0.0;
-    for (std::int64_t k = 0; k < classes; ++k) {
-      const double p = probs.at(i * classes + k);
-      const double t = k == c ? 1.0 : 0.0;
-      const double d = p - t;
-      b += d * d;
-    }
-    total += b;
-  }
-  return total / static_cast<double>(n);
+  return obs::pq::brier(fold_labeled(probs, labels, 1));
 }
 
 std::vector<double> predictive_entropy(const Tensor& probs) {
   TX_CHECK(probs.rank() == 2, "predictive_entropy: probs must be (N, classes)");
-  const std::int64_t n = probs.dim(0), classes = probs.dim(1);
-  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    double h = 0.0;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      const double p = probs.at(i * classes + c);
-      if (p > 1e-12) h -= p * std::log(p);
-    }
-    out[static_cast<std::size_t>(i)] = h;
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(probs.dim(0)));
+  for (std::int64_t i = 0; i < probs.dim(0); ++i) {
+    out.push_back(row_entropy(probs, i));
   }
   return out;
 }
 
 std::vector<double> max_probability(const Tensor& probs) {
   TX_CHECK(probs.rank() == 2, "max_probability: probs must be (N, classes)");
-  const std::int64_t n = probs.dim(0), classes = probs.dim(1);
-  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    float best = -1.0f;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      best = std::max(best, probs.at(i * classes + c));
-    }
-    out[static_cast<std::size_t>(i)] = best;
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(probs.dim(0)));
+  for (std::int64_t i = 0; i < probs.dim(0); ++i) {
+    out.push_back(row_max(probs, i).confidence);
   }
   return out;
 }

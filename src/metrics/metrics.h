@@ -1,23 +1,49 @@
 // Evaluation metrics used by the paper's tables and figures: expected
 // calibration error, calibration curves, predictive entropy, empirical CDFs,
 // and OOD detection AUROC from maximum predicted probability.
+//
+// The labelled metrics (calibration, ECE, accuracy, NLL, Brier) fold the
+// table's rows, one row_outcome each, into a local tx::obs::pq accumulator
+// and read it back, so they share one arithmetic with the streaming pq
+// layer (metrics/pq_feed.h). They take an (N, classes) probability table
+// and (N,) float-encoded labels, and throw on an empty table or a label
+// outside [0, classes).
 #pragma once
 
 #include <vector>
 
+#include "obs/pq.h"
 #include "tensor/tensor.h"
 
 namespace tx::metrics {
 
 /// One calibration bin: mean confidence, empirical accuracy, sample count.
-struct CalibrationBin {
-  double confidence = 0.0;
-  double accuracy = 0.0;
-  std::int64_t count = 0;
+using CalibrationBin = obs::pq::ReliabilityBin;
+
+/// Row `i` of a probability table (the last dim is the classes): its
+/// first-max float probability and the first class attaining it.
+struct RowMax {
+  float confidence = -1.0f;
+  std::int64_t pick = 0;
 };
+RowMax row_max(const Tensor& probs, std::int64_t i);
+
+/// Shannon entropy of row `i` (terms with p <= 1e-12 skipped).
+double row_entropy(const Tensor& probs, std::int64_t i);
+
+/// The labelled terms of row `i`, the arguments of obs::pq::add_outcome:
+/// row_max's confidence, whether its pick is the label, the true class's
+/// probability and the squared one-hot error summed over classes.
+struct RowOutcome {
+  float confidence = 0.0f;
+  bool correct = false;
+  float p_true = 0.0f;
+  double brier = 0.0;
+};
+RowOutcome row_outcome(const Tensor& probs, const Tensor& labels,
+                       std::int64_t i);
 
 /// Bins predictions by max predicted probability (equal-width bins on [0,1]).
-/// `probs` is (N, classes); `labels` is (N,) float-encoded.
 std::vector<CalibrationBin> calibration_curve(const Tensor& probs,
                                               const Tensor& labels,
                                               int num_bins = 10);

@@ -1,36 +1,13 @@
 #include "metrics/pq_feed.h"
 
-#include <cmath>
+#include <algorithm>
 
+#include "metrics/metrics.h"
 #include "obs/pq.h"
 #include "obs/registry.h"
 #include "util/common.h"
 
 namespace tx::metrics {
-
-namespace {
-
-/// Max probability of one row, replicating the batch metrics' float argmax.
-float row_confidence(const Tensor& probs, std::int64_t i,
-                     std::int64_t classes) {
-  float best = -1.0f;
-  for (std::int64_t c = 0; c < classes; ++c) {
-    best = std::max(best, probs.at(i * classes + c));
-  }
-  return best;
-}
-
-/// Entropy of one row, replicating tx::metrics::predictive_entropy.
-double row_entropy(const Tensor& probs, std::int64_t i, std::int64_t classes) {
-  double h = 0.0;
-  for (std::int64_t c = 0; c < classes; ++c) {
-    const double p = probs.at(i * classes + c);
-    if (p > 1e-12) h -= p * std::log(p);
-  }
-  return h;
-}
-
-}  // namespace
 
 void pq_observe_sample_stack(const Tensor& stacked_logits,
                              const Tensor& mean_probs) {
@@ -49,14 +26,14 @@ void pq_observe_sample_stack(const Tensor& stacked_logits,
 
   double variance_sum = 0.0;
   for (std::int64_t i = 0; i < n; ++i) {
-    const float confidence = row_confidence(mean_probs, i, classes);
-    const double predictive = row_entropy(mean_probs, i, classes);
+    const float confidence = row_max(mean_probs, i).confidence;
+    const double predictive = row_entropy(mean_probs, i);
     // Aleatoric: mean per-sample entropy. The gap to the predictive entropy
     // is the mutual information (epistemic part), derived in pq at snapshot
     // time so the decomposition sums exactly.
     double aleatoric = 0.0;
     for (std::int64_t s = 0; s < samples; ++s) {
-      aleatoric += row_entropy(sample_probs, s * n + i, classes);
+      aleatoric += row_entropy(sample_probs, s * n + i);
     }
     aleatoric /= static_cast<double>(samples);
     obs::pq::record_prediction(confidence, predictive, aleatoric);
@@ -83,10 +60,10 @@ void pq_observe_sample_stack(const Tensor& stacked_logits,
 void pq_observe_probs(const Tensor& probs) {
   if (!obs::pq::enabled()) return;
   TX_CHECK(probs.rank() == 2, "pq_observe_probs: probs must be (N, classes)");
-  const std::int64_t n = probs.dim(0), classes = probs.dim(1);
+  const std::int64_t n = probs.dim(0);
   for (std::int64_t i = 0; i < n; ++i) {
-    const double h = row_entropy(probs, i, classes);
-    obs::pq::record_prediction(row_confidence(probs, i, classes), h, h);
+    const double h = row_entropy(probs, i);
+    obs::pq::record_prediction(row_max(probs, i).confidence, h, h);
   }
   obs::pq::record_sample_pool(1, 0.0, n);
   obs::pq::publish(obs::registry());
@@ -97,31 +74,9 @@ void pq_observe_labeled(const Tensor& probs, const Tensor& labels) {
   TX_CHECK(probs.rank() == 2 && labels.rank() == 1 &&
                labels.dim(0) == probs.dim(0),
            "pq_observe_labeled: want (N, classes) probs and (N,) labels");
-  const std::int64_t n = probs.dim(0), classes = probs.dim(1);
-  for (std::int64_t i = 0; i < n; ++i) {
-    // Same first-wins float argmax as tx::metrics::calibration_curve.
-    float best = -1.0f;
-    std::int64_t pick = 0;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      const float p = probs.at(i * classes + c);
-      if (p > best) {
-        best = p;
-        pick = c;
-      }
-    }
-    const auto label = static_cast<std::int64_t>(std::llround(labels.at(i)));
-    TX_CHECK(label >= 0 && label < classes,
-             "pq_observe_labeled: label out of range");
-    const float p_true = probs.at(i * classes + label);
-    // Per-example Brier term, same accumulation as tx::metrics::brier_score.
-    double brier = 0.0;
-    for (std::int64_t k = 0; k < classes; ++k) {
-      const double p = probs.at(i * classes + k);
-      const double t = k == label ? 1.0 : 0.0;
-      const double d = p - t;
-      brier += d * d;
-    }
-    obs::pq::record_outcome(best, pick == label, p_true, brier);
+  for (std::int64_t i = 0; i < probs.dim(0); ++i) {
+    const RowOutcome o = row_outcome(probs, labels, i);
+    obs::pq::record_outcome(o.confidence, o.correct, o.p_true, o.brier);
   }
   obs::pq::publish(obs::registry());
 }

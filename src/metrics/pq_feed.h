@@ -2,12 +2,12 @@
 //
 // tx_obs is tensor-free by design, so the reductions from probability
 // tables and posterior sample stacks down to the per-example scalars pq
-// accumulates live here, one layer up. Each observe call replicates the
-// batch tx::metrics arithmetic term by term (same float argmax, same
-// 1e-12f clamp, same summation order), which is what makes the streaming
-// ECE / NLL / accuracy / Brier aggregates bitwise-equal to the batch
-// functions on the same data — the contract pq_test and the CI --pq leg
-// enforce.
+// accumulates live here, one layer up. Rows reduce through the same
+// row_max / row_entropy / row_outcome helpers the batch tx::metrics
+// functions use (metrics/metrics.h), and pq folds the labelled outcomes
+// with the same add_outcome the batch metrics fold into a local
+// accumulator — so a stream fed one table in one call agrees bitwise with
+// the batch metrics on it.
 //
 // Every call is a no-op unless tx::obs::pq::enabled(); when it does record,
 // it finishes with pq::publish() so live /metrics scrapes stay fresh.
@@ -35,7 +35,7 @@ void pq_observe_probs(const Tensor& probs);
 
 /// Observe labelled outcomes for an (N, classes) probability table and (N,)
 /// float-encoded labels: streaming reliability bins, NLL, Brier, accuracy.
-/// Labels out of range throw, matching tx::metrics::nll.
+/// Labels out of range throw (row_outcome).
 void pq_observe_labeled(const Tensor& probs, const Tensor& labels);
 
 }  // namespace tx::metrics

@@ -82,7 +82,7 @@ class EventSink {
   const std::string& path() const { return path_; }
 
   /// Dump a registry snapshot (counters, gauges, histogram summaries with
-  /// quantiles from util quantile_of/median_of) plus named per-step series
+  /// quantiles from the LogHistogram buckets) plus named per-step series
   /// as one JSON document — the BENCH_*.json schema. Memory-accounting
   /// gauges (obs/mem.h) are published into `reg` first so every snapshot
   /// carries them. Returns false (and counts obs.sink_errors) on I/O

@@ -35,24 +35,21 @@ std::string test_prefix_of(const std::string& label) {
   return label.substr(0, label.size() - suffix.size());
 }
 
-void size_stats(StreamStats& s, const Config& cfg) {
-  if (s.score_bins.empty()) {
-    s.score_bins.assign(static_cast<std::size_t>(cfg.score_bins), 0);
-  }
-  if (s.bin_count.empty()) {
-    const auto n = static_cast<std::size_t>(cfg.reliability_bins);
-    s.bin_confidence_sum.assign(n, 0.0);
-    s.bin_accuracy_sum.assign(n, 0.0);
-    s.bin_count.assign(n, 0);
-  }
+/// Equal-width bin of a confidence in [0, 1]: float*int truncation,
+/// clamped so 1.0 lands in the top bin.
+std::size_t bin_of(float confidence, std::size_t bins) {
+  const int b = static_cast<int>(confidence * static_cast<int>(bins));
+  return static_cast<std::size_t>(std::clamp(b, 0, static_cast<int>(bins) - 1));
 }
 
 void merge_stats(StreamStats& dst, const StreamStats& src) {
   // Every shard cell is sized under the current Config (configure drops
   // them all), so a fresh table cell takes its shape from the shard cell
   // without taking the config lock under the table lock.
-  size_stats(dst, {static_cast<int>(src.bin_count.size()),
-                   static_cast<int>(src.score_bins.size())});
+  if (dst.score_bins.empty()) {
+    dst = empty_stream({static_cast<int>(src.bin_count.size()),
+                        static_cast<int>(src.score_bins.size())});
+  }
   dst.examples += src.examples;
   dst.confidence_sum += src.confidence_sum;
   dst.predictive_entropy_sum += src.predictive_entropy_sum;
@@ -81,7 +78,7 @@ using Streams = ShardedTable<StreamStats, merge_stats>;
 StreamStats& shard_stream() {
   StreamStats& stats = Streams::local(t_stream);
   if (stats.score_bins.empty()) {
-    size_stats(stats, config());
+    stats = empty_stream(config());
     g_any_data.store(true, std::memory_order_relaxed);
   }
   return stats;
@@ -90,24 +87,6 @@ StreamStats& shard_stream() {
 /// `sum` over the labelled examples; zero when there are none.
 double per_labeled(const StreamStats& s, double sum) {
   return s.labeled == 0 ? 0.0 : sum / static_cast<double>(s.labeled);
-}
-
-/// Bin-by-bin replica of tx::metrics::expected_calibration_error on the
-/// calibration_curve of the same data: per-bin means then a count-weighted
-/// |accuracy - confidence| sum, empty bins skipped.
-double ece_of(const StreamStats& s) {
-  if (s.labeled == 0) return 0.0;
-  const double n = static_cast<double>(s.labeled);
-  double ece = 0.0;
-  for (std::size_t b = 0; b < s.bin_count.size(); ++b) {
-    const std::int64_t count = s.bin_count[b];
-    if (count == 0) continue;
-    const double confidence =
-        s.bin_confidence_sum[b] / static_cast<double>(count);
-    const double accuracy = s.bin_accuracy_sum[b] / static_cast<double>(count);
-    ece += (static_cast<double>(count) / n) * std::fabs(accuracy - confidence);
-  }
-  return ece;
 }
 
 /// Binned Mann-Whitney U from two max-prob histograms; ties within a bin
@@ -149,6 +128,61 @@ std::vector<std::pair<std::string, double>> ood_aurocs(
 }
 
 }  // namespace
+
+StreamStats empty_stream(const Config& config) {
+  StreamStats s;
+  s.score_bins.assign(static_cast<std::size_t>(config.score_bins), 0);
+  const auto n = static_cast<std::size_t>(config.reliability_bins);
+  s.bin_confidence_sum.assign(n, 0.0);
+  s.bin_accuracy_sum.assign(n, 0.0);
+  s.bin_count.assign(n, 0);
+  return s;
+}
+
+void add_outcome(StreamStats& s, float confidence, bool correct, float p_true,
+                 double brier) {
+  s.labeled += 1;
+  s.correct += correct ? 1 : 0;
+  s.nll_sum -= std::log(std::max(p_true, 1e-12f));
+  s.brier_sum += brier;
+  const std::size_t bin = bin_of(confidence, s.bin_count.size());
+  s.bin_confidence_sum[bin] += confidence;
+  s.bin_accuracy_sum[bin] += correct ? 1.0 : 0.0;
+  s.bin_count[bin] += 1;
+}
+
+std::vector<ReliabilityBin> reliability(const StreamStats& s) {
+  std::vector<ReliabilityBin> bins(s.bin_count.size());
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    const std::int64_t count = s.bin_count[b];
+    bins[b].count = count;
+    if (count > 0) {
+      bins[b].confidence = s.bin_confidence_sum[b] / static_cast<double>(count);
+      bins[b].accuracy = s.bin_accuracy_sum[b] / static_cast<double>(count);
+    }
+  }
+  return bins;
+}
+
+double ece(const StreamStats& s) {
+  if (s.labeled == 0) return 0.0;
+  const double n = static_cast<double>(s.labeled);
+  double out = 0.0;
+  for (const ReliabilityBin& b : reliability(s)) {
+    if (b.count == 0) continue;
+    out += (static_cast<double>(b.count) / n) *
+           std::fabs(b.accuracy - b.confidence);
+  }
+  return out;
+}
+
+double nll(const StreamStats& s) { return per_labeled(s, s.nll_sum); }
+
+double accuracy(const StreamStats& s) {
+  return per_labeled(s, static_cast<double>(s.correct));
+}
+
+double brier(const StreamStats& s) { return per_labeled(s, s.brier_sum); }
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
@@ -194,10 +228,7 @@ void record_prediction(float confidence, double predictive_entropy,
   s.confidence_sum += confidence;
   s.predictive_entropy_sum += predictive_entropy;
   s.aleatoric_entropy_sum += aleatoric_entropy;
-  const int bins = static_cast<int>(s.score_bins.size());
-  int bin = static_cast<int>(confidence * bins);
-  bin = std::clamp(bin, 0, bins - 1);
-  s.score_bins[static_cast<std::size_t>(bin)] += 1;
+  s.score_bins[bin_of(confidence, s.score_bins.size())] += 1;
   // Lock-free live mirror so /metrics scrapes see a tx_pq_* histogram
   // filling mid-run, not just the end-of-batch gauges.
   registry()
@@ -208,20 +239,7 @@ void record_prediction(float confidence, double predictive_entropy,
 void record_outcome(float confidence, bool correct, float p_true,
                     double brier) {
   if (!enabled()) return;
-  StreamStats& s = shard_stream();
-  s.labeled += 1;
-  s.correct += correct ? 1 : 0;
-  // Same clamp and float log as tx::metrics::nll — bitwise contract.
-  s.nll_sum -= std::log(std::max(p_true, 1e-12f));
-  s.brier_sum += brier;
-  // Same bin rule as tx::metrics::calibration_curve: float*int truncation,
-  // clamped so confidence == 1.0 lands in the top bin.
-  const int bins = static_cast<int>(s.bin_count.size());
-  int bin = static_cast<int>(confidence * bins);
-  bin = std::clamp(bin, 0, bins - 1);
-  s.bin_confidence_sum[static_cast<std::size_t>(bin)] += confidence;
-  s.bin_accuracy_sum[static_cast<std::size_t>(bin)] += correct ? 1.0 : 0.0;
-  s.bin_count[static_cast<std::size_t>(bin)] += 1;
+  add_outcome(shard_stream(), confidence, correct, p_true, brier);
 }
 
 void record_sample_pool(std::int64_t mc_samples, double variance_sum,
@@ -254,22 +272,19 @@ std::int64_t labeled(const std::string& stream) {
 }
 
 double streaming_ece(const std::string& stream) {
-  return ece_of(Streams::at(stream));
+  return ece(Streams::at(stream));
 }
 
 double streaming_nll(const std::string& stream) {
-  const StreamStats s = Streams::at(stream);
-  return per_labeled(s, s.nll_sum);
+  return nll(Streams::at(stream));
 }
 
 double streaming_accuracy(const std::string& stream) {
-  const StreamStats s = Streams::at(stream);
-  return per_labeled(s, static_cast<double>(s.correct));
+  return accuracy(Streams::at(stream));
 }
 
 double streaming_brier(const std::string& stream) {
-  const StreamStats s = Streams::at(stream);
-  return per_labeled(s, s.brier_sum);
+  return brier(Streams::at(stream));
 }
 
 double ood_auroc(const std::string& pos_stream,
@@ -317,13 +332,10 @@ std::string section_json(const std::string& indent) {
       o += in3 + "},\n";
     }
     if (s.labeled > 0) {
-      const double accuracy = per_labeled(s, static_cast<double>(s.correct));
-      o += in3 + "\"accuracy\": " + render_json_number(accuracy) + ",\n";
-      o += in3 + "\"nll\": " + render_json_number(per_labeled(s, s.nll_sum)) +
-           ",\n";
-      o += in3 + "\"brier\": " +
-           render_json_number(per_labeled(s, s.brier_sum)) + ",\n";
-      o += in3 + "\"ece\": " + render_json_number(ece_of(s)) + ",\n";
+      o += in3 + "\"accuracy\": " + render_json_number(accuracy(s)) + ",\n";
+      o += in3 + "\"nll\": " + render_json_number(nll(s)) + ",\n";
+      o += in3 + "\"brier\": " + render_json_number(brier(s)) + ",\n";
+      o += in3 + "\"ece\": " + render_json_number(ece(s)) + ",\n";
     }
     if (s.degraded_batches > 0) {
       // Emitted only when non-zero so snapshots from guard-free runs keep
@@ -391,11 +403,10 @@ void publish(MetricsRegistry& reg) {
     }
     reg.gauge("pq.labeled." + label).set(static_cast<double>(s.labeled));
     if (s.labeled > 0) {
-      reg.gauge("pq.accuracy." + label)
-          .set(per_labeled(s, static_cast<double>(s.correct)));
-      reg.gauge("pq.nll." + label).set(per_labeled(s, s.nll_sum));
-      reg.gauge("pq.brier." + label).set(per_labeled(s, s.brier_sum));
-      reg.gauge("pq.ece." + label).set(ece_of(s));
+      reg.gauge("pq.accuracy." + label).set(accuracy(s));
+      reg.gauge("pq.nll." + label).set(nll(s));
+      reg.gauge("pq.brier." + label).set(brier(s));
+      reg.gauge("pq.ece." + label).set(ece(s));
     }
     if (s.sample_batches > 0) {
       reg.gauge("pq.mc_samples." + label)

@@ -18,14 +18,16 @@
 //
 // Every accumulator is one-pass and exactly mergeable:
 //
-//  * Reliability bins — fixed equal-width confidence bins carrying
-//    (confidence_sum, accuracy_sum, count), accumulated with *bitwise* the
-//    same arithmetic as tx::metrics::calibration_curve, so the streaming
-//    ECE equals the batch expected_calibration_error exactly on the same
-//    stream (CI-enforced by the fig2 --pq leg and pq_test).
-//  * Streaming NLL / Brier / accuracy — per-example terms replicate the
-//    batch metrics' float clamps and summation order, same bitwise
-//    contract.
+//  * Reliability bins and streaming NLL / Brier / accuracy — the labelled
+//    outcome feed. This header is their one definition: the bin rule, the
+//    NLL clamp, the per-labelled means and the ECE formula below are what
+//    the batch tx::metrics functions read too, by folding a table's rows
+//    into a local StreamStats (add_outcome). A stream fed a table in one
+//    call is therefore bitwise equal to the batch metrics on that table;
+//    fed in several calls it adds the calls' partial sums, so its NLL and
+//    Brier may differ in the last place. pq_test is the gating check; the
+//    table1 harness re-checks it on every --pq run, and the fig2 --pq leg
+//    runs in the non-gating bench-smoke CI job.
 //  * Predictive-entropy decomposition — per example, predictive entropy
 //    H[mean_s p_s] splits into aleatoric (mean_s H[p_s]) plus epistemic
 //    (mutual information); epistemic is derived at snapshot time as the
@@ -63,7 +65,7 @@ class MetricsRegistry;
 namespace tx::obs::pq {
 
 /// Accumulator shape; reliability_bins must match the `num_bins` of the
-/// batch tx::metrics calls for the bitwise-ECE contract to hold (both
+/// batch tx::metrics calls for their ECE to equal the streamed one (both
 /// default to 10). Reconfiguring drops recorded data.
 struct Config {
   int reliability_bins = 10;
@@ -83,7 +85,7 @@ struct StreamStats {
   // Labelled outcome feed (record_outcome).
   std::int64_t labeled = 0;
   std::int64_t correct = 0;
-  double nll_sum = 0.0;    // sum of -log(max(p_true, 1e-12f))
+  double nll_sum = 0.0;    // sum of clamped -log(p_true) (add_outcome)
   double brier_sum = 0.0;  // sum of per-example squared one-hot error
   std::vector<double> bin_confidence_sum;  // reliability bins
   std::vector<double> bin_accuracy_sum;
@@ -99,6 +101,35 @@ struct StreamStats {
   // record_degraded_batch). Merges by addition.
   std::int64_t degraded_batches = 0;
 };
+
+/// One reliability bin read back: mean confidence, empirical accuracy and
+/// example count (both means 0 for an empty bin).
+struct ReliabilityBin {
+  double confidence = 0.0;
+  double accuracy = 0.0;
+  std::int64_t count = 0;
+};
+
+/// An empty accumulator shaped by `config`, as every new stream starts.
+StreamStats empty_stream(const Config& config);
+
+/// Fold one labelled outcome into `s`. `confidence` is the row's first-max
+/// float probability and `correct` whether that argmax is the label;
+/// `p_true` is the probability of the true class (its NLL term clamps it
+/// below at 1e-12) and `brier` the squared one-hot error. The confidence
+/// picks the reliability bin by float*int truncation, clamped so 1.0 lands
+/// in the top bin.
+void add_outcome(StreamStats& s, float confidence, bool correct, float p_true,
+                 double brier);
+
+/// Read-outs of the labelled examples in `s`: the reliability bins, the
+/// count-weighted mean |accuracy - confidence| over non-empty bins (ECE),
+/// and the per-labelled means. All zero when nothing is labelled.
+std::vector<ReliabilityBin> reliability(const StreamStats& s);
+double ece(const StreamStats& s);
+double nll(const StreamStats& s);
+double accuracy(const StreamStats& s);
+double brier(const StreamStats& s);
 
 /// Master switch. Defaults to off; while off every record hook below is one
 /// relaxed atomic load and an early return.
@@ -139,18 +170,15 @@ const std::string& current_stream();
 // ---- record hooks (per-example scalars; see metrics/pq_feed.h) -------------
 
 /// One label-free prediction: `confidence` is the max aggregated-mean class
-/// probability (float, to replicate the batch metrics' arithmetic),
+/// probability (float, as the labelled feed bins it),
 /// `predictive_entropy` is H of the mean distribution and
 /// `aleatoric_entropy` the mean per-sample entropy; epistemic (mutual
 /// information) is derived as their difference at snapshot time.
 void record_prediction(float confidence, double predictive_entropy,
                        double aleatoric_entropy);
 
-/// One labelled outcome. `confidence` and `correct` must follow the batch
-/// metrics' first-max argmax rule, `p_true` is the aggregated probability of
-/// the true class, and `brier` the per-example squared one-hot error — the
-/// accumulation replicates tx::metrics::{calibration_curve,nll,accuracy}
-/// bitwise.
+/// One labelled outcome, folded by add_outcome into the current stream
+/// (tx::metrics::row_outcome computes the arguments from a table row).
 void record_outcome(float confidence, bool correct, float p_true,
                     double brier);
 
@@ -175,9 +203,8 @@ void flush_thread_cache();
 /// All streams (flushes the calling thread's shard first).
 std::map<std::string, StreamStats> stream_table();
 
-/// Derived one-stream scalars, replicating the batch metrics' final
-/// arithmetic so equality with tx::metrics is bitwise on the same data.
-/// Zero for an unknown or empty stream.
+/// One stream's counts and the read-outs above, by label. Zero for an
+/// unknown or empty stream.
 std::int64_t examples(const std::string& stream);
 std::int64_t labeled(const std::string& stream);
 double streaming_ece(const std::string& stream);

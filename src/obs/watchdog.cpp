@@ -11,6 +11,11 @@
 
 namespace tx::obs {
 
+void heartbeat() {
+  registry().gauge("obs.heartbeat_seconds").set(now_seconds());
+  if (guard::watchdog_interested()) guard::note_liveness(current_span_path());
+}
+
 Watchdog::Watchdog(Options opts) : opts_(std::move(opts)) {
   if (opts_.stale_after_seconds <= 0.0) opts_.stale_after_seconds = 30.0;
   if (opts_.poll_interval_seconds <= 0.0) opts_.poll_interval_seconds = 0.5;

@@ -35,6 +35,12 @@
 
 namespace tx::obs {
 
+/// Liveness pulse of the inference drivers (SVI step, MCMC transition,
+/// predict batch): sets the obs.heartbeat_seconds gauge to now and, while a
+/// watchdog is interested, records the current span path as the one to
+/// blame for a later stall. Callers gate it on obs::enabled().
+void heartbeat();
+
 struct WatchdogOptions {
   /// Heartbeat age that counts as a stall (TYXE_HEALTH_STALE_S / 30s).
   double stale_after_seconds = live::default_staleness_seconds();

@@ -455,5 +455,25 @@ TEST_F(GuardTest, WatchdogEscalationCancelsLiveBudgets) {
   tx::obs::registry().gauge("obs.heartbeat_seconds").set(tx::obs::now_seconds());
 }
 
+TEST_F(GuardTest, McmcTransitionsNoteLivenessForTheWatchdog) {
+  // Like SVI steps and predicts, MCMC transitions must move the blame span
+  // off a stale one, or a stall mid-chain is blamed on the wrong driver.
+  guard::note_liveness("stale");
+  guard::set_watchdog_interest(true);
+  tx::manual_seed(5);
+  tx::Generator gen(5);
+  tx::infer::MCMC mcmc(std::make_shared<tx::infer::HMC>(0.1, 3, false),
+                       /*num_samples=*/2, /*warmup_steps=*/0);
+  mcmc.run(
+      [] {
+        tx::ppl::sample("z", std::make_shared<nd::Normal>(tx::zeros({2}),
+                                                          tx::ones({2})));
+      },
+      &gen);
+  guard::set_watchdog_interest(false);
+  const std::string blamed = guard::last_liveness_span();
+  EXPECT_EQ(blamed.rfind("mcmc.run", 0), 0u) << blamed;
+}
+
 }  // namespace
 }  // namespace tyxe

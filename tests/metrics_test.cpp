@@ -103,8 +103,25 @@ TEST(Metrics, ValidationErrors) {
   EXPECT_THROW(accuracy(probs, zeros({3})), Error);
   EXPECT_THROW(expected_calibration_error(zeros({4}), zeros({4})), Error);
   EXPECT_THROW(auroc({}, {1.0}), Error);
-  Tensor bad_labels(Shape{2}, {0.0f, 5.0f});
-  EXPECT_THROW(nll(probs, bad_labels), Error);
+  EXPECT_THROW(calibration_curve(probs, zeros({2}), 0), Error);
+  // Every labelled batch metric rejects an out-of-range label (above or
+  // below) and an empty table, rather than counting it wrong or dividing
+  // 0 by 0.
+  const Tensor empty_probs(Shape{0, 2});
+  const Tensor empty_labels(Shape{0});
+  for (const Tensor& bad_labels : {Tensor(Shape{2}, {0.0f, 5.0f}),
+                                   Tensor(Shape{2}, {-1.0f, 0.0f})}) {
+    EXPECT_THROW(accuracy(probs, bad_labels), Error);
+    EXPECT_THROW(nll(probs, bad_labels), Error);
+    EXPECT_THROW(brier_score(probs, bad_labels), Error);
+    EXPECT_THROW(calibration_curve(probs, bad_labels), Error);
+    EXPECT_THROW(expected_calibration_error(probs, bad_labels), Error);
+  }
+  EXPECT_THROW(accuracy(empty_probs, empty_labels), Error);
+  EXPECT_THROW(nll(empty_probs, empty_labels), Error);
+  EXPECT_THROW(brier_score(empty_probs, empty_labels), Error);
+  EXPECT_THROW(calibration_curve(empty_probs, empty_labels), Error);
+  EXPECT_THROW(expected_calibration_error(empty_probs, empty_labels), Error);
 }
 
 TEST(Auroc, AllTiedScoresGiveHalf) {

@@ -49,22 +49,80 @@ Tensor random_prob_table(std::int64_t n, std::int64_t c, std::uint64_t seed,
 
 TEST(PqAccumulators, StreamingMatchesBatchBitwise) {
   PqGuard guard;
-  Tensor labels;
-  // 257 examples and 7 classes: enough mass that every reliability bin and
-  // float rounding path gets exercised.
-  Tensor probs = random_prob_table(257, 7, 7, &labels);
-  {
-    StreamScope scope("bitwise");
-    tx::metrics::pq_observe_labeled(probs, labels);
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    for (const int bins : {5, 10, 20}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(bins) + " bins");
+      configure({/*reliability_bins=*/bins, /*score_bins=*/64});
+      Tensor labels;
+      // 257 examples and 7 classes: enough mass that every reliability bin
+      // and float rounding path gets exercised.
+      Tensor probs = random_prob_table(257, 7, seed, &labels);
+      const Tensor head = slice(probs, 0, 0, 100);
+      const Tensor head_labels = slice(labels, 0, 0, 100);
+      const Tensor tail = slice(probs, 0, 100, 257);
+      const Tensor tail_labels = slice(labels, 0, 100, 257);
+      {
+        StreamScope scope("one");
+        tx::metrics::pq_observe_labeled(probs, labels);
+      }
+      {
+        StreamScope scope("two");
+        tx::metrics::pq_observe_labeled(head, head_labels);
+        tx::metrics::pq_observe_labeled(tail, tail_labels);
+      }
+      // Exact equality, not EXPECT_NEAR: both sides fold the same outcomes
+      // through the same accumulator.
+      const double batch_ece =
+          tx::metrics::expected_calibration_error(probs, labels, bins);
+      const double batch_nll = tx::metrics::nll(probs, labels);
+      const double batch_brier = tx::metrics::brier_score(probs, labels);
+      const auto batch_bins =
+          tx::metrics::calibration_curve(probs, labels, bins);
+      EXPECT_EQ(streaming_ece("one"), batch_ece);
+      EXPECT_EQ(streaming_nll("one"), batch_nll);
+      EXPECT_EQ(streaming_accuracy("one"),
+                tx::metrics::accuracy(probs, labels));
+      EXPECT_EQ(streaming_brier("one"), batch_brier);
+      EXPECT_EQ(labeled("one"), 257);
+
+      // Fed in two calls, a stream adds the calls' partial sums (each call
+      // publishes, which merges the caller's shard). Counts are integers,
+      // and the bin sums stay exact in a double here (float confidences
+      // >= 1/7 are multiples of 2^-26; 257 of them need 35 bits), so the
+      // bins, accuracy and ECE are still bitwise equal; the NLL and Brier
+      // sums may round differently in the last place.
+      EXPECT_EQ(streaming_ece("two"), batch_ece);
+      EXPECT_EQ(streaming_accuracy("two"),
+                tx::metrics::accuracy(probs, labels));
+      EXPECT_NEAR(streaming_nll("two"), batch_nll, 1e-14 * batch_nll);
+      EXPECT_NEAR(streaming_brier("two"), batch_brier, 1e-14 * batch_brier);
+      EXPECT_EQ(labeled("two"), 257);
+
+      const auto table = stream_table();
+      for (const char* stream : {"one", "two"}) {
+        const auto streamed = reliability(table.at(stream));
+        ASSERT_EQ(streamed.size(), batch_bins.size());
+        for (std::size_t b = 0; b < batch_bins.size(); ++b) {
+          EXPECT_EQ(streamed[b].count, batch_bins[b].count) << stream << b;
+          EXPECT_EQ(streamed[b].confidence, batch_bins[b].confidence)
+              << stream << b;
+          EXPECT_EQ(streamed[b].accuracy, batch_bins[b].accuracy)
+              << stream << b;
+        }
+      }
+    }
   }
-  // Exact equality, not EXPECT_NEAR: the streaming accumulators replicate
-  // the batch arithmetic term by term.
-  EXPECT_EQ(streaming_ece("bitwise"),
-            tx::metrics::expected_calibration_error(probs, labels));
-  EXPECT_EQ(streaming_nll("bitwise"), tx::metrics::nll(probs, labels));
-  EXPECT_EQ(streaming_accuracy("bitwise"), tx::metrics::accuracy(probs, labels));
-  EXPECT_EQ(streaming_brier("bitwise"), tx::metrics::brier_score(probs, labels));
-  EXPECT_EQ(labeled("bitwise"), 257);
+  // An empty stream reads 0 where the batch metrics throw.
+  const StreamStats empty = empty_stream(config());
+  EXPECT_EQ(ece(empty), 0.0);
+  EXPECT_EQ(nll(empty), 0.0);
+  EXPECT_EQ(accuracy(empty), 0.0);
+  EXPECT_EQ(brier(empty), 0.0);
+  // The batch metrics' label check guards the feed too.
+  const Tensor probs = random_prob_table(2, 3, 1, nullptr);
+  const Tensor bad_labels(Shape{2}, {0.0f, 3.0f});
+  EXPECT_THROW(tx::metrics::pq_observe_labeled(probs, bad_labels), Error);
 }
 
 TEST(PqAccumulators, ReliabilityBinsSumToStreamTotals) {
