@@ -203,7 +203,7 @@ struct CheckpointFixture {
 
   tx::resil::Bundle bundle() const {
     tx::resil::Bundle b;
-    b.set("store", tx::infer::param_store_bytes(store));
+    b.set("store", tx::ppl::param_store_bytes(store));
     b.set("optim", tx::infer::optimizer_bytes(opt));
     b.set("gen", tx::resil::generator_bytes(gen));
     return b;
@@ -229,8 +229,8 @@ void BM_CheckpointLoad(benchmark::State& state) {
   const std::size_t bytes = fx.bundle().serialize().size();
   for (auto _ : state) {
     tx::resil::Bundle b = tx::resil::Bundle::read_file(path);
-    tx::infer::apply_param_store_bytes(b.get("store"), fx.store,
-                                       /*prune_extra=*/true);
+    tx::ppl::apply_param_store_bytes(b.get("store"), fx.store,
+                                     /*prune_extra=*/true);
     tx::infer::apply_optimizer_bytes(b.get("optim"), fx.opt);
     tx::resil::apply_generator_bytes(b.get("gen"), fx.gen);
   }

@@ -226,7 +226,7 @@ def validate_manifest(path, m):
     # omits its fields) but typed when present.
     if "simd_level" in m and m["simd_level"] not in ("off", "scalar", "avx2", "neon"):
         err(f"'simd_level' invalid: {m['simd_level']!r}")
-    for key in ("threads", "arena_cap_mb", "seed"):
+    for key in ("threads", "seed"):
         if key in m and (not isinstance(m[key], int) or isinstance(m[key], bool)):
             err(f"'{key}' must be an integer: {m[key]!r}")
     if "arena" in m and m["arena"] not in ("on", "off"):

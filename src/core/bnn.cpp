@@ -369,8 +369,8 @@ Tensor VariationalBNN::predict(const std::vector<Tensor>& inputs,
 }
 
 MCMC_BNN::MCMC_BNN(tx::nn::ModulePtr net, PriorPtr prior,
-                   LikelihoodPtr likelihood, KernelFactory kernel_factory,
-                   std::string name)
+                   LikelihoodPtr likelihood,
+                   tx::infer::KernelFactory kernel_factory, std::string name)
     : BNNBase(std::move(net), std::move(prior), std::move(name)),
       likelihood_(std::move(likelihood)),
       kernel_factory_(std::move(kernel_factory)) {

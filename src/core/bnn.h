@@ -243,11 +243,9 @@ class VariationalBNN : public SupervisedBNN {
 /// the full dataset (paper Sec. 2.1.3).
 class MCMC_BNN : public BNNBase {
  public:
-  using KernelFactory =
-      std::function<std::shared_ptr<tx::infer::MCMCKernel>()>;
-
   MCMC_BNN(tx::nn::ModulePtr net, PriorPtr prior, LikelihoodPtr likelihood,
-           KernelFactory kernel_factory, std::string name = "net");
+           tx::infer::KernelFactory kernel_factory,
+           std::string name = "net");
 
   Likelihood& likelihood() { return *likelihood_; }
 
@@ -274,7 +272,7 @@ class MCMC_BNN : public BNNBase {
 
  private:
   LikelihoodPtr likelihood_;
-  KernelFactory kernel_factory_;
+  tx::infer::KernelFactory kernel_factory_;
   std::unique_ptr<tx::infer::MCMC> mcmc_;
 };
 

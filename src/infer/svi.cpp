@@ -13,7 +13,6 @@
 #include "resil/guard.h"
 #include "resil/io.h"
 #include "tensor/alloc.h"
-#include "tensor/serialize.h"
 #include "util/textio.h"
 
 namespace tx::infer {
@@ -160,7 +159,7 @@ resil::Bundle SVI::make_bundle(const StepLR* scheduler) const {
   meta << "svi steps " << steps_ << '\n';
   if (scheduler != nullptr) meta << "sched " << scheduler->count() << '\n';
   b.set("svi.meta", meta.str());
-  b.set("store", param_store_bytes(*store_));
+  b.set("store", ppl::param_store_bytes(*store_));
   b.set("optim", optimizer_bytes(*optimizer_));
   if (gen_ != nullptr) b.set("gen", resil::generator_bytes(*gen_));
   return b;
@@ -181,7 +180,7 @@ void SVI::apply_bundle(const resil::Bundle& b, StepLR* scheduler) {
   // prune_extra: the store must match the bundle exactly — a rolled-back
   // step may have lazily created (and NaN-poisoned) params the anchor has
   // never seen, and leaving them in place would defeat the rollback.
-  apply_param_store_bytes(b.get("store"), *store_, /*prune_extra=*/true);
+  ppl::apply_param_store_bytes(b.get("store"), *store_, /*prune_extra=*/true);
   apply_optimizer_bytes(b.get("optim"), *optimizer_);
   if (gen_ != nullptr && b.has("gen")) {
     resil::apply_generator_bytes(b.get("gen"), *gen_);
@@ -326,56 +325,6 @@ FitReport SVI::fit(std::int64_t num_steps, const RetryPolicy& policy) {
   report.steps_completed = steps_;
   gauge("resil.svi.rollbacks_total", static_cast<double>(report.rollbacks));
   return report;
-}
-
-std::string param_store_bytes(const ppl::ParamStore& store) {
-  std::ostringstream os;
-  const auto items = store.items();
-  os << "params " << items.size() << '\n';
-  for (const auto& [name, t] : items) {
-    os << name << '\n';
-    save_tensor(os, t.detach());
-  }
-  return os.str();
-}
-
-void apply_param_store_bytes(const std::string& bytes, ppl::ParamStore& store,
-                             bool prune_extra) {
-  std::istringstream is(bytes);
-  textio::expect_tag(is, "params");
-  const std::int64_t count = textio::read_int(is, "param count");
-  std::vector<std::pair<std::string, Tensor>> staged;
-  staged.reserve(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::string name = textio::next_token(is, "param name");
-    staged.emplace_back(name, load_tensor(is));
-  }
-  // Validate shapes against existing entries before the first copy.
-  for (const auto& [name, value] : staged) {
-    if (store.contains(name)) {
-      TX_CHECK(store.get(name).shape() == value.shape(),
-               "tx.ckpt.v1: shape mismatch for param '", name, "'");
-    }
-  }
-  for (auto& [name, value] : staged) {
-    if (store.contains(name)) {
-      store.get(name).copy_(value);  // keep the live handle
-    } else {
-      store.set(name, value);
-    }
-  }
-  if (prune_extra) {
-    for (const auto& [name, _] : store.items()) {
-      bool known = false;
-      for (const auto& [staged_name, __] : staged) {
-        if (staged_name == name) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) store.erase(name);
-    }
-  }
 }
 
 std::string optimizer_bytes(const Optimizer& opt) {

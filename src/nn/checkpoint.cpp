@@ -1,53 +1,19 @@
 #include "nn/checkpoint.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "resil/io.h"
 #include "tensor/serialize.h"
 
 namespace {
 
-void write_entries(
-    std::ostream& os,
-    const std::vector<std::pair<std::string, tx::Tensor>>& entries) {
-  os << "TXCKPT1 " << entries.size() << '\n';
-  for (const auto& [name, value] : entries) {
-    TX_CHECK(name.find_first_of(" \n\t") == std::string::npos,
-             "checkpoint: name '", name, "' contains whitespace");
-    os << name << '\n';
-    tx::save_tensor(os, value);
-  }
-  TX_CHECK(os.good(), "checkpoint: stream write failed");
-}
+constexpr const char* kModuleSection = "module";
+constexpr const char* kModuleTag = "state";
+constexpr const char* kStoreSection = "store";
 
-/// Crash-safe file write: serialize in memory, then atomic replace (temp +
-/// fsync + rename) so a crash mid-save can never truncate an existing
-/// checkpoint.
-void write_entries_file(
-    const std::string& path,
-    const std::vector<std::pair<std::string, tx::Tensor>>& entries,
-    const char* what) {
-  std::ostringstream os;
-  write_entries(os, entries);
-  TX_CHECK(tx::resil::atomic_write_file(path, os.str()), what,
-           ": cannot write ", path);
-}
-
-std::vector<std::pair<std::string, tx::Tensor>> read_entries(std::istream& is) {
-  std::string magic;
-  std::size_t count = 0;
-  is >> magic >> count;
-  TX_CHECK(is.good() && magic == "TXCKPT1", "checkpoint: bad header");
-  std::vector<std::pair<std::string, tx::Tensor>> entries;
-  entries.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string name;
-    is >> name;
-    TX_CHECK(is.good() && !name.empty(), "checkpoint: truncated entry name");
-    entries.emplace_back(name, tx::load_tensor(is));
-  }
-  return entries;
+void write_section(const std::string& path, const char* section,
+                   std::string bytes, const char* what) {
+  tx::resil::Bundle b;
+  b.set(section, std::move(bytes));
+  TX_CHECK(b.write_file(path), what, ": cannot write ", path);
 }
 
 }  // namespace
@@ -55,16 +21,17 @@ std::vector<std::pair<std::string, tx::Tensor>> read_entries(std::istream& is) {
 namespace tx::nn {
 
 void save_checkpoint(const std::string& path, Module& module) {
-  write_entries_file(path, module.state_dict(), "save_checkpoint");
+  write_section(path, kModuleSection,
+                encode_named_tensors(kModuleTag, module.state_dict()),
+                "save_checkpoint");
 }
 
 void load_checkpoint(const std::string& path, Module& module) {
-  std::ifstream is(path);
-  TX_CHECK(is.is_open(), "load_checkpoint: cannot open ", path);
-  // read_entries parses the whole file (throwing on truncation) and
+  // The bundle is verified and the section parsed in full, and
   // load_state_dict validates every slot before its first write, so a bad
   // file never half-mutates the module.
-  module.load_state_dict(read_entries(is));
+  module.load_state_dict(decode_named_tensors(
+      resil::Bundle::read_file(path).get(kModuleSection), kModuleTag));
 }
 
 }  // namespace tx::nn
@@ -72,33 +39,13 @@ void load_checkpoint(const std::string& path, Module& module) {
 namespace tx::ppl {
 
 void save_param_store(const std::string& path, const ParamStore& store) {
-  std::vector<std::pair<std::string, tx::Tensor>> entries;
-  for (const auto& [name, t] : store.items()) {
-    entries.emplace_back(name, t.detach());
-  }
-  write_entries_file(path, entries, "save_param_store");
+  write_section(path, kStoreSection, param_store_bytes(store),
+                "save_param_store");
 }
 
 void load_param_store(const std::string& path, ParamStore& store) {
-  std::ifstream is(path);
-  TX_CHECK(is.is_open(), "load_param_store: cannot open ", path);
-  // Stage-then-swap: parse the full file, validate every shape against the
-  // live store, and only then start copying values in.
-  const auto entries = read_entries(is);
-  for (const auto& [name, value] : entries) {
-    if (store.contains(name)) {
-      TX_CHECK(store.get(name).shape() == value.shape(),
-               "load_param_store: shape mismatch for ", name);
-    }
-  }
-  for (const auto& [name, value] : entries) {
-    if (store.contains(name)) {
-      // Keep the existing handle so live guides see the loaded values.
-      store.get(name).copy_(value);
-    } else {
-      store.set(name, value);
-    }
-  }
+  apply_param_store_bytes(resil::Bundle::read_file(path).get(kStoreSection),
+                          store);
 }
 
 }  // namespace tx::ppl

@@ -1,5 +1,9 @@
 #include "ppl/param_store.h"
 
+#include <set>
+
+#include "tensor/serialize.h"
+
 namespace tx::ppl {
 
 Tensor ParamStore::get_or_create(const std::string& name, const Tensor& init) {
@@ -99,6 +103,35 @@ void ParamStore::restore(const std::map<std::string, Tensor>& snap) {
     TX_CHECK(it != params_.end(), "restore: no param named '", name, "'");
     // Write through the existing handle so shared references see the values.
     it->second.copy_(value);
+  }
+}
+
+std::string param_store_bytes(const ParamStore& store) {
+  return encode_named_tensors("params", store.items());
+}
+
+void apply_param_store_bytes(const std::string& bytes, ParamStore& store,
+                             bool prune_extra) {
+  const NamedTensors staged = decode_named_tensors(bytes, "params");
+  std::set<std::string> loaded;
+  for (const auto& [name, value] : staged) {
+    if (store.contains(name)) {
+      TX_CHECK(store.get(name).shape() == value.shape(),
+               "tx.ckpt.v1: shape mismatch for param '", name, "'");
+    }
+    loaded.insert(name);
+  }
+  for (const auto& [name, value] : staged) {
+    if (store.contains(name)) {
+      store.get(name).copy_(value);  // keep the live handle
+    } else {
+      store.set(name, value);
+    }
+  }
+  if (prune_extra) {
+    for (const auto& [name, _] : store.items()) {
+      if (loaded.count(name) == 0) store.erase(name);
+    }
   }
 }
 

@@ -52,6 +52,22 @@ class ParamStore {
   std::map<std::string, Tensor> params_;
 };
 
+/// The store's tx.ckpt.v1 "store" section: "params <n>\n", then each name
+/// and its TXT1 tensor in name order (tensor/serialize.h). SVI checkpoints
+/// and save_param_store both write it.
+std::string param_store_bytes(const ParamStore& store);
+/// Stages the whole section and checks every shape against the live store
+/// before the first write (throws tx::Error on corruption or a mismatch).
+/// Existing same-name params keep their handles (values copied through, so
+/// live guides and optimizers see them); new names are created. With
+/// `prune_extra` false, params absent from the bytes are left untouched; with
+/// it true they are erased, so the store afterwards matches the bytes exactly
+/// — what a rollback needs when a failed step lazily created params the
+/// anchor has never seen (the guide re-creates them from the restored RNG
+/// stream, so the replay is still bitwise-exact).
+void apply_param_store_bytes(const std::string& bytes, ParamStore& store,
+                             bool prune_extra = false);
+
 /// Process-wide store used by param() below.
 ParamStore& param_store();
 

@@ -11,6 +11,7 @@
 
 #include "resil/fault.h"
 #include "util/common.h"
+#include "util/textio.h"
 
 namespace tx::resil {
 
@@ -165,20 +166,25 @@ Bundle Bundle::deserialize(const std::string& data) {
     return line;
   };
 
+  // Header lines are whole tokens, nothing after them: "1junk" is not 1.
+  std::string rest;
   std::istringstream header(read_line("header"));
-  std::string magic;
-  std::int64_t count = -1;
-  header >> magic >> count;
-  TX_CHECK(magic == "tx.ckpt.v1" && count >= 0, "tx.ckpt.v1: bad header");
+  textio::expect_tag(header, "tx.ckpt.v1");
+  const std::int64_t count = textio::read_int(header, "section count");
+  TX_CHECK(count >= 0 && !(header >> rest), "tx.ckpt.v1: bad header");
 
   Bundle b;
   for (std::int64_t i = 0; i < count; ++i) {
     std::istringstream section(read_line("section header"));
-    std::string at, name;
-    std::int64_t nbytes = -1;
-    section >> at >> name >> nbytes;
-    TX_CHECK(at == "@" && !name.empty() && nbytes >= 0,
+    textio::expect_tag(section, "@");
+    const std::string name = textio::next_token(section, "section name");
+    const std::int64_t nbytes = textio::read_int(section, "section size");
+    TX_CHECK(nbytes >= 0 && !(section >> rest),
              "tx.ckpt.v1: bad section header");
+    // serialize() writes each name once, in map order; anything else would
+    // let a later duplicate silently replace a section.
+    TX_CHECK(b.sections_.empty() || b.sections_.rbegin()->first < name,
+             "tx.ckpt.v1: section '", name, "' duplicated or out of order");
     TX_CHECK(pos + static_cast<std::size_t>(nbytes) < body.size() &&
                  body[pos + static_cast<std::size_t>(nbytes)] == '\n',
              "tx.ckpt.v1: truncated section '", name, "'");

@@ -16,16 +16,8 @@ namespace {
 constexpr std::int64_t kBytesPerFloat =
     static_cast<std::int64_t>(sizeof(float));
 
-std::int64_t default_pool_cap_bytes() {
-  // Per-thread ledger cap; donations beyond it are freed normally.
-  std::int64_t cap_mb = 256;
-  if (const char* env = std::getenv("TYXE_ARENA_CAP_MB")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 0) cap_mb = v;
-  }
-  return cap_mb << 20;
-}
+// Per-thread ledger cap; donations beyond it are freed normally.
+constexpr std::int64_t kPoolCapBytes = std::int64_t{256} << 20;
 
 bool enabled_from_env() {
   const char* env = std::getenv("TYXE_ARENA");
@@ -41,15 +33,14 @@ std::atomic<bool>& enabled_flag() {
 
 std::atomic<int> g_step_depth{0};
 
-// Arena state for the tx.manifest.v1 run manifest — whether recycling is on
-// and the per-thread cap, so provenance records the allocator configuration.
+// Arena state for the tx.manifest.v1 run manifest — whether recycling is on,
+// so provenance records the allocator configuration.
 const bool g_manifest_provider_registered = [] {
   obs::manifest::register_provider([] {
     obs::manifest::set_field("arena",
                              enabled_flag().load(std::memory_order_relaxed)
                                  ? std::string("on")
                                  : std::string("off"));
-    obs::manifest::set_field("arena_cap_mb", default_pool_cap_bytes() >> 20);
   });
   return true;
 }();
@@ -58,7 +49,6 @@ struct ThreadPool {
   // capacity (floats) -> idle buffers of that capacity.
   std::multimap<std::size_t, std::vector<float>> buckets;
   std::int64_t ledger_bytes = 0;
-  std::int64_t cap_bytes = default_pool_cap_bytes();
   Stats stats;
 
   ~ThreadPool() { release_all(); }
@@ -158,7 +148,7 @@ std::int64_t donate(std::vector<float>& v) {
   if (bytes == 0) return 0;
   if (!active() || bytes > kMaxPooledBytes) return 0;
   ThreadPool& tp = pool();
-  if (tp.ledger_bytes + bytes > tp.cap_bytes) {
+  if (tp.ledger_bytes + bytes > kPoolCapBytes) {
     ++tp.stats.rejected;
     return 0;
   }

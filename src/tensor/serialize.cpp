@@ -1,7 +1,9 @@
 #include "tensor/serialize.h"
 
-#include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "util/textio.h"
 
 namespace tx {
 
@@ -24,42 +26,55 @@ void save_tensor(std::ostream& os, const Tensor& t) {
 }
 
 Tensor load_tensor(std::istream& is) {
-  std::string magic;
-  is >> magic;
-  TX_CHECK(is.good() && magic == kMagic, "load_tensor: bad magic '", magic, "'");
-  std::int64_t rank = 0;
-  is >> rank;
-  TX_CHECK(is.good() && rank >= 0 && rank <= 16, "load_tensor: bad rank");
-  Shape shape(static_cast<std::size_t>(rank));
-  for (auto& d : shape) {
-    is >> d;
-    TX_CHECK(is.good() && d >= 0, "load_tensor: bad dimension");
+  textio::expect_tag(is, kMagic);
+  const std::int64_t rank = textio::read_int(is, "tensor rank");
+  TX_CHECK(rank >= 0 && rank <= 16, "load_tensor: bad rank ", rank);
+  Shape shape;
+  std::int64_t numel = 1;
+  for (std::int64_t i = 0; i < rank; ++i) {
+    const std::int64_t d = textio::read_int(is, "tensor dimension");
+    TX_CHECK(d >= 0 && (d == 0 ||
+                        numel <= std::numeric_limits<std::int64_t>::max() / d),
+             "load_tensor: bad dimension ", d);
+    numel *= d;
+    shape.push_back(d);
   }
-  const std::int64_t n = numel_of(shape);
-  std::vector<float> values(static_cast<std::size_t>(n));
-  for (auto& v : values) {
-    // std::hexfloat parsing via operator>> is unreliable pre-C++23; parse
-    // tokens with strtof, which accepts hexfloat.
-    std::string token;
-    is >> token;
-    TX_CHECK(!token.empty() && is, "load_tensor: truncated values");
-    char* end = nullptr;
-    v = std::strtof(token.c_str(), &end);
-    TX_CHECK(end != token.c_str(), "load_tensor: bad value token '", token, "'");
+  // Grown per value read, never sized from the header: a corrupt shape ends
+  // in a truncation error instead of a huge allocation.
+  std::vector<float> values;
+  for (std::int64_t i = 0; i < numel; ++i) {
+    values.push_back(textio::read_float(is, "tensor value"));
   }
   return Tensor(std::move(shape), std::move(values));
 }
 
-void save_tensor_file(const std::string& path, const Tensor& t) {
-  std::ofstream os(path);
-  TX_CHECK(os.is_open(), "save_tensor_file: cannot open ", path);
-  save_tensor(os, t);
+std::string encode_named_tensors(const char* tag, const NamedTensors& entries) {
+  std::ostringstream os;
+  os << tag << ' ' << entries.size() << '\n';
+  for (const auto& [name, value] : entries) {
+    TX_CHECK(!name.empty() && name.find_first_of(" \n\t") == std::string::npos,
+             "encode_named_tensors: name '", name,
+             "' is empty or has whitespace");
+    os << name << '\n';
+    save_tensor(os, value);
+  }
+  return os.str();
 }
 
-Tensor load_tensor_file(const std::string& path) {
-  std::ifstream is(path);
-  TX_CHECK(is.is_open(), "load_tensor_file: cannot open ", path);
-  return load_tensor(is);
+NamedTensors decode_named_tensors(const std::string& bytes, const char* tag) {
+  std::istringstream is(bytes);
+  textio::expect_tag(is, tag);
+  const std::int64_t count = textio::read_int(is, tag);
+  TX_CHECK(count >= 0, "decode_named_tensors: negative ", tag, " count");
+  NamedTensors entries;  // grown per entry, like load_tensor's values
+  for (std::int64_t i = 0; i < count; ++i) {
+    std::string name = textio::next_token(is, "tensor name");
+    entries.emplace_back(std::move(name), load_tensor(is));
+  }
+  std::string extra;
+  TX_CHECK(!(is >> extra), "decode_named_tensors: trailing token '", extra,
+           "' after ", count, " ", tag);
+  return entries;
 }
 
 }  // namespace tx

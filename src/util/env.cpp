@@ -16,8 +16,6 @@ const std::vector<Var>& known_vars() {
       {"TYXE_ARENA", "on",
        "per-step buffer-recycling arena for autograd temporaries (off "
        "disables)"},
-      {"TYXE_ARENA_CAP_MB", "256",
-       "per-thread cap on pooled arena bytes, in MiB"},
       {"TYXE_DIAG", "",
        "path for the tx.diag.v1 inference-health snapshot (enables diag)"},
       {"TYXE_FAULT", "",

@@ -80,8 +80,8 @@ inline void write_vec_f(std::ostream& os, const std::vector<float>& v) {
 inline std::vector<float> read_vec_f(std::istream& is, const char* what) {
   const std::int64_t n = read_int(is, what);
   TX_CHECK(n >= 0, "serialized state: negative vector size for ", what);
-  std::vector<float> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = read_float(is, what);
+  std::vector<float> v;  // grown per value: a corrupt size cannot allocate
+  for (std::int64_t i = 0; i < n; ++i) v.push_back(read_float(is, what));
   return v;
 }
 
@@ -97,8 +97,8 @@ inline void write_vec_d(std::ostream& os, const std::vector<double>& v) {
 inline std::vector<double> read_vec_d(std::istream& is, const char* what) {
   const std::int64_t n = read_int(is, what);
   TX_CHECK(n >= 0, "serialized state: negative vector size for ", what);
-  std::vector<double> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = read_double(is, what);
+  std::vector<double> v;  // grown per value: a corrupt size cannot allocate
+  for (std::int64_t i = 0; i < n; ++i) v.push_back(read_double(is, what));
   return v;
 }
 

@@ -73,7 +73,6 @@ TEST_F(LiveTest, ManifestIncludesProviderFields) {
   EXPECT_NE(doc.find("\"simd_level\": \""), std::string::npos);
   EXPECT_NE(doc.find("\"threads\": "), std::string::npos);
   EXPECT_NE(doc.find("\"arena\": \""), std::string::npos);
-  EXPECT_NE(doc.find("\"arena_cap_mb\": "), std::string::npos);
   // Full env table with defaults.
   EXPECT_NE(doc.find("\"TYXE_SIMD\""), std::string::npos);
   EXPECT_NE(doc.find("\"TYXE_NUM_THREADS\""), std::string::npos);

@@ -188,6 +188,34 @@ TEST(Bundle, RejectsTruncationAndBitFlips) {
   }
 }
 
+TEST(Bundle, RejectsMalformedFramingUnderAValidChecksum) {
+  // serialize() never writes these, so only a hand-edited file can hold
+  // them. A duplicate section would otherwise replace the first silently.
+  const auto with_checksum = [](const std::string& body) {
+    char footer[32];
+    std::snprintf(footer, sizeof(footer), "@checksum %016llx\n",
+                  static_cast<unsigned long long>(resil::fnv1a64(body)));
+    return body + footer;
+  };
+  EXPECT_NO_THROW(resil::Bundle::deserialize(
+      with_checksum("tx.ckpt.v1 2\n@ a 1\nx\n@ b 1\ny\n")));
+  EXPECT_THROW(resil::Bundle::deserialize(
+                   with_checksum("tx.ckpt.v1 2\n@ a 1\nx\n@ a 1\ny\n")),
+               Error);
+  EXPECT_THROW(resil::Bundle::deserialize(
+                   with_checksum("tx.ckpt.v1 2\n@ b 1\nx\n@ a 1\ny\n")),
+               Error);
+  // Header fields are whole tokens with nothing after them, as
+  // scripts/validate_bench.py --ckpt reads them.
+  for (const char* body :
+       {"tx.ckpt.v1 1junk\n@ a 1\nx\n", "tx.ckpt.v1 1 2\n@ a 1\nx\n",
+        "tx.ckpt.v1 1\n@ a 1 extra\nx\n", "tx.ckpt.v1 1\n@ a 1x\nx\n",
+        "tx.ckpt.v1 1\n@a 1\nx\n"}) {
+    EXPECT_THROW(resil::Bundle::deserialize(with_checksum(body)), Error)
+        << body;
+  }
+}
+
 TEST(Bundle, FooterOneByteShortIsRejectedInMemoryAndOnDisk) {
   // The nastiest truncation: everything up to the "@checksum <16 hex>\n"
   // footer's last byte survives, so a parser that stops verifying at the
@@ -288,6 +316,11 @@ TEST(OptimState, CorruptStreamThrowsWithoutMutation) {
   EXPECT_THROW(opt.load_state(truncated), Error);
   std::istringstream wrong_kind("sgd v1\nlr 0x1p-1\nvelocity 0\n");
   EXPECT_THROW(opt.load_state(wrong_kind), Error);
+  // A moment size read from the stream sizes no allocation: the stream ends
+  // long before 4e12 values, so this is a truncation error, not bad_alloc.
+  std::istringstream huge_moment(
+      "adam v1\nlr 0x1p-1\nmoments 1\nx 1 4000000000000 0x1p+0\n");
+  EXPECT_THROW(opt.load_state(huge_moment), Error);
 
   std::ostringstream after;
   opt.save_state(after);
