@@ -9,15 +9,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "core/tyxe.h"
 #include "data/datasets.h"
 #include "obs/obs.h"
 #include "par/pool.h"
-#include "ppl/diag.h"
 #include "resil/fault.h"
+#include "session.h"
 
 using tx::Tensor;
 
@@ -67,30 +66,9 @@ int main(int argc, char** argv) {
   std::printf("Figure 1 reproduction (seed %llu)\n",
               static_cast<unsigned long long>(seed));
 
-  // Shared observability flags: --trace <path> records a Chrome-trace
-  // timeline, --diag <path> streams inference health, --prof enables the
-  // kernel roofline / allocator-churn profiler (its "prof" section lands in
-  // BENCH_fig1_regression.json). Env fallbacks TYXE_TRACE/TYXE_DIAG/
-  // TYXE_PROF. See docs/observability.md.
-  const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
-  const std::string& trace_path = obs_flags.trace_path;
+  // Shared observability flags (bench/session.h, docs/observability.md).
+  bench::Session session(argc, argv, "fig1_regression");
   tx::obs::manifest::set_field("seed", static_cast<std::int64_t>(seed));
-
-  // --obs-http[=PORT] / TYXE_OBS_HTTP: live telemetry for the whole run
-  // (/metrics, /healthz, /snapshot, /manifest). Scraping is read-only, so
-  // results stay bitwise-identical to a server-off run (CI enforces this).
-  tx::obs::live::Server live_server({obs_flags.http_port, "fig1_regression"});
-  if (obs_flags.http_port >= 0 && live_server.start()) {
-    std::printf("obs-http: serving on http://127.0.0.1:%d\n",
-                live_server.port());
-  }
-  if (!trace_path.empty()) {
-    tx::obs::set_trace_thread_name("main");
-    tx::obs::start_tracing();
-  }
-  // Every ppl sample/observe site becomes a timeline tick (no-op untraced).
-  tx::ppl::TracingMessenger site_tracer;
-  tx::ppl::HandlerScope site_scope(site_tracer);
 
   // --checkpoint-every <K> switches the VI fit onto the fault-tolerant
   // SVI::fit driver: a tx.ckpt.v1 checkpoint (--checkpoint <path>, default
@@ -113,35 +91,12 @@ int main(int argc, char** argv) {
   // so CI can exercise NaN-gradient rollback, failed-checkpoint-write
   // handling, and stall detection on this exact workload (fault plans are
   // inert without the env var).
-  if ((checkpoint_every > 0 || obs_flags.watchdog) &&
+  if ((checkpoint_every > 0 || session.flags().watchdog) &&
       tx::fault::install_from_env()) {
     std::printf("fault plan installed from TYXE_FAULT\n");
   }
 
-  // --watchdog / TYXE_WATCHDOG: monitor the driver heartbeat for the whole
-  // run; a stall (TYXE_HEALTH_STALE_S) produces a tx.diag.forensic.v1 dump
-  // and flips /healthz to 503 until the heartbeat recovers. A short poll
-  // interval keeps the CI guard leg (sub-second thresholds) responsive.
-  tx::obs::Watchdog watchdog(
-      {tx::obs::live::default_staleness_seconds(),
-       /*poll_interval_seconds=*/0.1, /*escalate_cancel=*/false});
-  if (obs_flags.watchdog) {
-    watchdog.start();
-    std::printf("watchdog: monitoring heartbeat (stale after %.1fs)\n",
-                tx::obs::live::default_staleness_seconds());
-  }
-
-  // Diagnostics (per-site variational drift/KL, gradient SNR, per-site
-  // R̂/ESS and divergence blame for HMC) into a tx.diag.v1 snapshot.
-  const std::string& diag_path = obs_flags.diag_path;
-  tx::ppl::DiagnosticsMessenger diag_messenger;
-  std::optional<tx::ppl::HandlerScope> diag_scope;
-  if (!diag_path.empty()) {
-    tx::obs::diag::set_enabled(true);
-    diag_scope.emplace(diag_messenger);
-  }
-
-  if (!trace_path.empty()) {
+  if (!session.flags().trace_path.empty()) {
     // Fig 1's MLP (1-50-1, batch 64) sits below the kernel fan-out
     // thresholds, so the model run alone would leave the per-worker tracks
     // empty. Run one labeled big matmul forward+backward over 4 threads so
@@ -306,46 +261,14 @@ int main(int argc, char** argv) {
         .set("resumed", ckpt_report.resumed ? 1 : 0);
     sink.emit(e);
   }
-  tx::obs::EventSink::write_snapshot(
-      "BENCH_fig1_regression.json", "fig1_regression", tx::obs::registry(),
-      {{"vi_loss", vi_losses}, {"hmc_accept_prob", hmc_accepts}});
+  if (!bench::write_snapshot(
+          "BENCH_fig1_regression.json", "fig1_regression",
+          {{"vi_loss", vi_losses}, {"hmc_accept_prob", hmc_accepts}})) {
+    return 1;
+  }
   std::printf("  events:  %s (%lld lines)\n", sink.path().c_str(),
               static_cast<long long>(sink.events_written()));
   std::printf("  metrics: BENCH_fig1_regression.json\n");
-  if (obs_flags.prof) {
-    std::int64_t flops = 0;
-    for (const auto& [name, ks] : tx::obs::prof::kernel_table()) {
-      flops += ks.flops;
-    }
-    const std::int64_t window = tx::obs::prof::window_allocated_bytes();
-    const double coverage =
-        window > 0 ? 100.0 * static_cast<double>(
-                                 tx::obs::prof::attributed_bytes()) /
-                         static_cast<double>(window)
-                   : 100.0;
-    std::printf("  prof:    %zu kernels, %.3f GFLOP, churn coverage %.1f%%\n",
-                tx::obs::prof::kernel_table().size(),
-                static_cast<double>(flops) / 1e9, coverage);
-  }
-  if (!diag_path.empty()) {
-    const bool ok = tx::obs::diag::write_snapshot(diag_path, "fig1_regression");
-    std::printf("  diag:    %s (%lld records, %lld nan trips)%s\n",
-                diag_path.c_str(),
-                static_cast<long long>(tx::obs::diag::records()),
-                static_cast<long long>(tx::obs::diag::nan_trips()),
-                ok ? "" : " [WRITE FAILED]");
-    if (!ok) return 1;
-  }
-  if (!trace_path.empty()) {
-    tx::obs::stop_tracing();
-    const bool ok = tx::obs::write_trace(trace_path);
-    std::printf("  trace:   %s (%lld events, %lld dropped, %lld ppl sites)%s\n",
-                trace_path.c_str(),
-                static_cast<long long>(tx::obs::trace_event_count()),
-                static_cast<long long>(tx::obs::trace_dropped_count()),
-                static_cast<long long>(site_tracer.sites_traced()),
-                ok ? "" : " [WRITE FAILED]");
-    if (!ok) return 1;
-  }
+  if (!session.finish()) return 1;
   return 0;
 }

@@ -2,45 +2,17 @@
 // the predictive entropy on test vs OOD data, per inference strategy. Shares
 // the training harness with table1_resnet (DESIGN.md, FIG2).
 #include <cstdio>
-#include <optional>
 
 #include "metrics/metrics.h"
-#include "obs/diag.h"
-#include "obs/flags.h"
-#include "obs/live.h"
 #include "obs/manifest.h"
 #include "obs/pq.h"
-#include "ppl/diag.h"
-#include "ppl/messenger.h"
+#include "session.h"
 #include "table1_harness.h"
 
 int main(int argc, char** argv) {
-  // --diag <path> (or TYXE_DIAG) streams inference health across every
-  // strategy's SVI fit into one tx.diag.v1 snapshot (the snapshot's step
-  // indices are the global diag sequence, so restarts between strategies
-  // keep them monotone). --prof adds the kernel roofline / churn section to
-  // the metrics snapshot. --pq streams predictive-quality telemetry (online
-  // calibration / uncertainty decomposition / OOD scores) from the predict
-  // path into a "pq" section and live pq.* metrics. See
-  // docs/observability.md.
-  const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
-  const std::string& diag_path = obs_flags.diag_path;
-
-  // --obs-http[=PORT] / TYXE_OBS_HTTP: live telemetry for the whole run
-  // (/metrics, /healthz, /snapshot, /manifest); read-only, so results stay
-  // bitwise-identical to a server-off run.
-  tx::obs::live::Server live_server({obs_flags.http_port, "fig2_calibration"});
-  if (obs_flags.http_port >= 0 && live_server.start()) {
-    std::printf("obs-http: serving on http://127.0.0.1:%d\n",
-                live_server.port());
-  }
-
-  tx::ppl::DiagnosticsMessenger diag_messenger;
-  std::optional<tx::ppl::HandlerScope> diag_scope;
-  if (!diag_path.empty()) {
-    tx::obs::diag::set_enabled(true);
-    diag_scope.emplace(diag_messenger);
-  }
+  // Shared observability flags (bench/session.h, docs/observability.md).
+  // One --diag snapshot spans every strategy's fit (monotone global steps).
+  bench::Session session(argc, argv, "fig2_calibration");
 
   bench::Table1Config cfg;
   // A slightly lighter run than Table 1: the curves need the probability
@@ -52,6 +24,7 @@ int main(int argc, char** argv) {
   std::printf("Figure 2 reproduction (seed %llu)\n",
               static_cast<unsigned long long>(cfg.seed));
   auto run = bench::run_table1(cfg);
+  if (!run.metrics_written) return 1;
 
   std::printf("\n-- Calibration curves (10 bins; paper Fig. 2 top row) --\n");
   for (const auto& s : run.strategies) {
@@ -91,7 +64,7 @@ int main(int argc, char** argv) {
               "OOD entropy CDFs right (more uncertainty on OOD)\nand MF gives "
               "the best-matching calibration curve (closest to the "
               "diagonal).\n");
-  if (obs_flags.pq) {
+  if (session.flags().pq) {
     std::printf("\n-- Streaming predictive quality (tx.pq.v1; binned OOD "
                 "AUROC) --\n");
     for (const auto& s : run.strategies) {
@@ -105,15 +78,5 @@ int main(int argc, char** argv) {
                   tx::obs::pq::ood_auroc(stream, s.name + "/ood"));
     }
   }
-  if (!diag_path.empty()) {
-    const bool ok =
-        tx::obs::diag::write_snapshot(diag_path, "fig2_calibration");
-    std::printf("diag: %s (%lld records, %lld nan trips)%s\n",
-                diag_path.c_str(),
-                static_cast<long long>(tx::obs::diag::records()),
-                static_cast<long long>(tx::obs::diag::nan_trips()),
-                ok ? "" : " [WRITE FAILED]");
-    if (!ok) return 1;
-  }
-  return 0;
+  return session.finish() ? 0 : 1;
 }

@@ -11,11 +11,8 @@
 #include "core/tyxe.h"
 #include "data/datasets.h"
 #include "metrics/metrics.h"
-#include "obs/event_sink.h"
-#include "obs/flags.h"
-#include "obs/live.h"
 #include "obs/manifest.h"
-#include "obs/registry.h"
+#include "session.h"
 #include "util/stats.h"
 
 using tx::Tensor;
@@ -153,15 +150,8 @@ void report(const char* title, const std::vector<Curve>& vcl,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Shared observability switches (--trace/--diag/--prof/--pq/--obs-http),
-  // same surface as fig1/fig2/par_scaling. parse_bench_flags also switches
-  // prof/pq on, audits TYXE_* env vars and freezes the run manifest.
-  const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
-  tx::obs::live::Server live_server({obs_flags.http_port, "fig4_vcl"});
-  if (obs_flags.http_port >= 0 && live_server.start()) {
-    std::printf("obs-http: serving on http://127.0.0.1:%d\n",
-                live_server.port());
-  }
+  // Shared observability flags (bench/session.h, docs/observability.md).
+  bench::Session session(argc, argv, "fig4_vcl");
   // Base data seed of run 0; per-run seeds derive from it (+run offsets).
   tx::obs::manifest::set_field("seed", static_cast<std::int64_t>(500));
 
@@ -213,8 +203,9 @@ int main(int argc, char** argv) {
 
   std::printf("\npaper shape: ML's mean accuracy decays across tasks "
               "(forgetting); VCL degrades far more slowly.\n");
-  tx::obs::EventSink::write_snapshot("BENCH_fig4_vcl.json", "fig4_vcl",
-                                     tx::obs::registry(), series);
+  if (!bench::write_snapshot("BENCH_fig4_vcl.json", "fig4_vcl", series)) {
+    return 1;
+  }
   std::printf("metrics: BENCH_fig4_vcl.json\n");
-  return 0;
+  return session.finish() ? 0 : 1;
 }

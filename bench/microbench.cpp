@@ -4,15 +4,15 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 
 #include "core/tyxe.h"
 #include "data/datasets.h"
 #include "obs/diag.h"
-#include "obs/event_sink.h"
-#include "obs/flags.h"
 #include "par/par.h"
 #include "ppl/diag.h"
 #include "resil/io.h"
+#include "session.h"
 
 using tx::Tensor;
 namespace nd = tx::dist;
@@ -109,10 +109,12 @@ void BM_SviStepDiagOff(benchmark::State& state) {
       tyxe::guides::auto_normal_factory());
   auto optim = std::make_shared<tx::infer::Adam>(1e-3);
   std::vector<tyxe::Batch> batch{{{data.x}, data.y}};
+  const bool was_enabled = tx::obs::diag::enabled();
   tx::obs::diag::set_enabled(false);
   for (auto _ : state) {
     bnn->fit(batch, optim, 1);
   }
+  tx::obs::diag::set_enabled(was_enabled);
 }
 BENCHMARK(BM_SviStepDiagOff);
 
@@ -128,15 +130,18 @@ void BM_SviStepDiagOn(benchmark::State& state) {
       tyxe::guides::auto_normal_factory());
   auto optim = std::make_shared<tx::infer::Adam>(1e-3);
   std::vector<tyxe::Batch> batch{{{data.x}, data.y}};
-  tx::obs::diag::reset();
+  // Under --diag the session's messenger already streams these steps.
+  const bool was_enabled = tx::obs::diag::enabled();
+  if (!was_enabled) tx::obs::diag::reset();
   tx::obs::diag::set_enabled(true);
   tx::ppl::DiagnosticsMessenger diag_messenger;
-  tx::ppl::HandlerScope diag_scope(diag_messenger);
+  std::optional<tx::ppl::HandlerScope> diag_scope;
+  if (!was_enabled) diag_scope.emplace(diag_messenger);
   for (auto _ : state) {
     bnn->fit(batch, optim, 1);
   }
-  tx::obs::diag::set_enabled(false);
-  tx::obs::diag::reset();
+  tx::obs::diag::set_enabled(was_enabled);
+  if (!was_enabled) tx::obs::diag::reset();
 }
 BENCHMARK(BM_SviStepDiagOn);
 
@@ -300,16 +305,12 @@ BENCHMARK(BM_MultiParticleElboThreads)->Arg(1)->Arg(2)->Arg(4);
 // counts are time-adaptive, so prof aggregates here are machine-dependent;
 // scripts/bench_diff.py compares this file with --no-gate-counts.
 int main(int argc, char** argv) {
-  tx::obs::parse_bench_flags(argc, argv);
+  bench::Session session(argc, argv, "microbench");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!tx::obs::EventSink::write_snapshot("BENCH_microbench.json",
-                                          "microbench")) {
-    std::fprintf(stderr, "microbench: snapshot write failed\n");
-    return 1;
-  }
+  if (!bench::write_snapshot("BENCH_microbench.json", "microbench")) return 1;
   std::printf("metrics: BENCH_microbench.json\n");
-  return 0;
+  return session.finish() ? 0 : 1;
 }

@@ -14,6 +14,7 @@
 #include "obs/obs.h"
 #include "par/par.h"
 #include "ppl/ppl.h"
+#include "session.h"
 
 using tx::Tensor;
 
@@ -54,26 +55,9 @@ int main(int argc, char** argv) {
   std::printf("== par_scaling: tx::par hot paths at 1 vs 4 threads ==\n");
   auto& reg = tx::obs::registry();
 
-  // --trace <path> (or TYXE_TRACE) records the whole comparison as a Chrome
-  // trace: matmul slices with shape/FLOP args, par-worker chunk tracks, and
-  // per-chain mcmc.chain / mcmc.step slices. --prof (or TYXE_PROF) adds the
-  // kernel roofline / churn "prof" section to BENCH_par_scaling.json.
-  const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
-  const std::string& trace_path = obs_flags.trace_path;
-  if (!trace_path.empty()) {
-    tx::obs::set_trace_thread_name("main");
-    tx::obs::start_tracing();
-  }
+  // Shared observability flags (bench/session.h, docs/observability.md).
+  bench::Session session(argc, argv, "par_scaling");
   tx::obs::manifest::set_field("seed", std::int64_t{0});
-
-  // --obs-http[=PORT] / TYXE_OBS_HTTP: live telemetry for the whole run
-  // (/metrics, /healthz, /snapshot, /manifest); read-only, so the bitwise
-  // determinism checks below hold with the server on or off.
-  tx::obs::live::Server live_server({obs_flags.http_port, "par_scaling"});
-  if (obs_flags.http_port >= 0 && live_server.start()) {
-    std::printf("obs-http: serving on http://127.0.0.1:%d\n",
-                live_server.port());
-  }
 
   // --- 512x512 matmul.
   tx::Generator gen(0);
@@ -111,19 +95,13 @@ int main(int argc, char** argv) {
   reg.gauge("par_scaling.mcmc.speedup").set(mc_1t / mc_4t);
   reg.gauge("par_scaling.deterministic").set(mm_same && mc_same ? 1.0 : 0.0);
 
-  tx::obs::EventSink::write_snapshot(
-      "BENCH_par_scaling.json", "par_scaling", reg,
-      {{"matmul_seconds", {mm_1t, mm_4t}}, {"mcmc_seconds", {mc_1t, mc_4t}}});
-  std::printf("  metrics: BENCH_par_scaling.json\n");
-  if (!trace_path.empty()) {
-    tx::obs::stop_tracing();
-    const bool ok = tx::obs::write_trace(trace_path);
-    std::printf("  trace:   %s (%lld events, %lld dropped)%s\n",
-                trace_path.c_str(),
-                static_cast<long long>(tx::obs::trace_event_count()),
-                static_cast<long long>(tx::obs::trace_dropped_count()),
-                ok ? "" : " [WRITE FAILED]");
-    if (!ok) return 1;
+  if (!bench::write_snapshot(
+          "BENCH_par_scaling.json", "par_scaling",
+          {{"matmul_seconds", {mm_1t, mm_4t}},
+           {"mcmc_seconds", {mc_1t, mc_4t}}})) {
+    return 1;
   }
+  std::printf("  metrics: BENCH_par_scaling.json\n");
+  if (!session.finish()) return 1;
   return (mm_same && mc_same) ? 0 : 1;
 }

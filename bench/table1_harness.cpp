@@ -6,6 +6,7 @@
 #include "metrics/metrics.h"
 #include "metrics/pq_feed.h"
 #include "obs/obs.h"
+#include "session.h"
 
 namespace bench {
 
@@ -297,8 +298,8 @@ Table1Run run_table1(const Table1Config& cfg) {
                 static_cast<long long>(sink->events_written()));
   }
   if (!cfg.metrics_path.empty()) {
-    obs::EventSink::write_snapshot(cfg.metrics_path, "table1_harness",
-                                   obs::registry(), series);
+    run.metrics_written =
+        write_snapshot(cfg.metrics_path, "table1_harness", series);
     std::printf("  metrics: %s\n", cfg.metrics_path.c_str());
   }
 

@@ -46,6 +46,7 @@ struct StrategyResult {
 struct Table1Run {
   std::vector<StrategyResult> strategies;
   tx::Tensor test_labels;
+  bool metrics_written = true;  // false: metrics_path could not be written
 };
 
 /// Runs the full experiment. Strategy order matches the paper's Table 1.

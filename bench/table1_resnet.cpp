@@ -5,22 +5,14 @@
 // reproduced — see EXPERIMENTS.md.
 #include <cstdio>
 
-#include "obs/flags.h"
-#include "obs/live.h"
 #include "obs/manifest.h"
+#include "session.h"
 #include "table1_harness.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  // Shared observability switches (--trace/--diag/--prof/--pq/--obs-http),
-  // same surface as fig1/fig2/par_scaling. parse_bench_flags also switches
-  // prof/pq on, audits TYXE_* env vars and freezes the run manifest.
-  const tx::obs::BenchFlags obs_flags = tx::obs::parse_bench_flags(argc, argv);
-  tx::obs::live::Server live_server({obs_flags.http_port, "table1_resnet"});
-  if (obs_flags.http_port >= 0 && live_server.start()) {
-    std::printf("obs-http: serving on http://127.0.0.1:%d\n",
-                live_server.port());
-  }
+  // Shared observability flags (bench/session.h, docs/observability.md).
+  bench::Session session(argc, argv, "table1_resnet");
 
   bench::Table1Config cfg;
   tx::obs::manifest::set_field("seed", static_cast<std::int64_t>(cfg.seed));
@@ -29,6 +21,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cfg.seed),
               static_cast<long long>(cfg.base_width));
   auto run = bench::run_table1(cfg);
+  if (!run.metrics_written) return 1;
 
   tx::Table table({"Inference", "NLL(down)", "Acc(up, %)", "ECE(down, %)", "OOD(up)"});
   for (const auto& s : run.strategies) {
@@ -46,5 +39,5 @@ int main(int argc, char** argv) {
               "  MF   0.20 / 93.28 / 0.97 / 0.94\n"
               "  LL MF 0.35 / 93.36 / 3.62 / 0.89\n"
               "  LL low rank 0.34 / 93.31 / 3.75 / 0.89\n");
-  return 0;
+  return session.finish() ? 0 : 1;
 }

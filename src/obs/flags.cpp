@@ -61,6 +61,12 @@ std::string path_flag(int argc, char** argv, const char* flag,
   return "";
 }
 
+// A boolean switch's env fallback: on when set to anything but "" or "0".
+bool env_switch(const char* env) {
+  const char* v = std::getenv(env);
+  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
+}
+
 }  // namespace
 
 BenchFlags parse_bench_flags(int& argc, char** argv) {
@@ -104,21 +110,9 @@ BenchFlags parse_bench_flags(int& argc, char** argv) {
   for (int i = out; i < argc; ++i) argv[i] = nullptr;
   argc = out;
 
-  if (!flags.prof) {
-    if (const char* v = std::getenv("TYXE_PROF")) {
-      flags.prof = *v != '\0' && std::strcmp(v, "0") != 0;
-    }
-  }
-  if (!flags.pq) {
-    if (const char* v = std::getenv("TYXE_PQ")) {
-      flags.pq = *v != '\0' && std::strcmp(v, "0") != 0;
-    }
-  }
-  if (!flags.watchdog) {
-    if (const char* v = std::getenv("TYXE_WATCHDOG")) {
-      flags.watchdog = *v != '\0' && std::strcmp(v, "0") != 0;
-    }
-  }
+  flags.prof = flags.prof || env_switch("TYXE_PROF");
+  flags.pq = flags.pq || env_switch("TYXE_PQ");
+  flags.watchdog = flags.watchdog || env_switch("TYXE_WATCHDOG");
   if (!http_flag) {
     if (const char* v = std::getenv("TYXE_OBS_HTTP")) {
       if (*v != '\0') flags.http_port = parse_http_port(v, "TYXE_OBS_HTTP");

@@ -1,6 +1,6 @@
 // Shared observability command-line flags for benchmark binaries.
 //
-// Every bench accepts the same switches:
+// The benches take these switches through bench::Session (bench/session.h):
 //
 //   --trace <path>     write a Chrome-trace timeline (obs/trace.h)
 //   --diag <path>      write streaming inference diagnostics (obs/diag.h)
@@ -17,7 +17,7 @@
 // parse_bench_flags recognizes them in one place (replacing per-bench
 // copies), warns on a path flag with no path (last, or followed by another
 // --flag) instead of silently dropping it, falls back to the TYXE_TRACE /
-// TYXE_DIAG / TYXE_PROF / TYXE_PQ / TYXE_OBS_HTTP environment variables,
+// TYXE_DIAG / TYXE_PROF / TYXE_PQ / TYXE_WATCHDOG / TYXE_OBS_HTTP env vars,
 // switches the prof and pq streams on itself, and *strips* everything it
 // consumed from argv so the remaining arguments can be handed to another
 // parser (e.g. google benchmark) without "unrecognized flag" failures.

@@ -75,7 +75,7 @@ Trace trace_fn(const std::function<void()>& fn) {
 
 void TracingMessenger::postprocess_message(SampleMsg& msg) {
   if (!obs::tracing()) return;
-  ++sites_traced_;
+  sites_traced_.fetch_add(1, std::memory_order_relaxed);
   obs::Event args;
   args.set("site", msg.name);
   args.set("kind", msg.is_observed ? "observe" : "sample");

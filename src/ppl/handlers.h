@@ -3,6 +3,7 @@
 // Chrome-trace timeline (obs/trace.h).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <map>
 
@@ -105,10 +106,14 @@ class TracingMessenger : public Messenger {
   /// exists, so the event can carry the realized shape.
   void postprocess_message(SampleMsg& msg) override;
 
-  std::int64_t sites_traced() const { return sites_traced_; }
+  std::int64_t sites_traced() const {
+    return sites_traced_.load(std::memory_order_relaxed);
+  }
 
  private:
-  std::int64_t sites_traced_ = 0;
+  // Bumped from tx::par workers too: the handler stack follows parallel
+  // bodies, such as the chains of a multi-chain MCMC run.
+  std::atomic<std::int64_t> sites_traced_{0};
 };
 
 }  // namespace tx::ppl

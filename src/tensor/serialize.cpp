@@ -1,6 +1,5 @@
 #include "tensor/serialize.h"
 
-#include <limits>
 #include <sstream>
 
 #include "util/textio.h"
@@ -30,15 +29,10 @@ Tensor load_tensor(std::istream& is) {
   const std::int64_t rank = textio::read_int(is, "tensor rank");
   TX_CHECK(rank >= 0 && rank <= 16, "load_tensor: bad rank ", rank);
   Shape shape;
-  std::int64_t numel = 1;
   for (std::int64_t i = 0; i < rank; ++i) {
-    const std::int64_t d = textio::read_int(is, "tensor dimension");
-    TX_CHECK(d >= 0 && (d == 0 ||
-                        numel <= std::numeric_limits<std::int64_t>::max() / d),
-             "load_tensor: bad dimension ", d);
-    numel *= d;
-    shape.push_back(d);
+    shape.push_back(textio::read_int(is, "tensor dimension"));
   }
+  const std::int64_t numel = numel_of(shape);
   // Grown per value read, never sized from the header: a corrupt shape ends
   // in a truncation error instead of a huge allocation.
   std::vector<float> values;

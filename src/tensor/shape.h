@@ -15,12 +15,14 @@ namespace tx {
 
 using Shape = std::vector<std::int64_t>;
 
-/// Number of elements described by a shape (1 for rank-0 scalars).
+/// Number of elements described by a shape (1 for rank-0 scalars); throws
+/// on a negative extent or a count that overflows int64.
 inline std::int64_t numel_of(const Shape& shape) {
   std::int64_t n = 1;
   for (auto d : shape) {
     TX_CHECK(d >= 0, "negative dimension in shape [", join(shape), "]");
-    n *= d;
+    TX_CHECK(!__builtin_mul_overflow(n, d, &n),
+             "element count of shape [", join(shape), "] overflows int64");
   }
   return n;
 }

@@ -21,6 +21,7 @@ namespace {
 TEST(Shape, NumelAndStrides) {
   EXPECT_EQ(numel_of({2, 3, 4}), 24);
   EXPECT_EQ(numel_of({}), 1);
+  EXPECT_THROW(numel_of({4294967296, 4294967297}), Error);
   EXPECT_EQ(contiguous_strides({2, 3, 4}), (Shape{12, 4, 1}));
 }
 
